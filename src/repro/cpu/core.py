@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from heapq import heappush as _heappush
+from types import CodeType, FunctionType
 from typing import Callable, Optional, Tuple
 
 from repro.consistency import ConsistencyPolicy, policy_for
@@ -1326,6 +1327,12 @@ def _make_load(core: Core, instr: Instruction) -> Callable:
     return exec_load
 
 
+#: Generated superblock source -> compiled ``_superblock`` code object.
+#: Keyed by source text, which names only parameters and so depends on
+#: the span's shape alone (see :func:`_make_superblock`).
+_SUPERBLOCK_CODE: dict = {}
+
+
 def _make_superblock(core: Core, span: SuperblockSpan,
                      decoded: list) -> Callable:
     """Trace-compile one superblock span into a single fused closure.
@@ -1338,7 +1345,16 @@ def _make_superblock(core: Core, span: SuperblockSpan,
     with no per-instruction dispatch.  Conditional branches inside the
     span become early exits: each exit point gets its own epilogue with
     the executed-prefix instruction count, summed busy cycles, and exit
-    pc folded in as constants.
+    pc bound as constants.
+
+    Every per-span value (register indices, immediates, exit pcs,
+    counts, latencies, the fallback evaluator) is a bound default
+    parameter ``_k0, _k1, ...`` rather than a literal, so the generated
+    source depends only on the span's *shape* and is compiled once per
+    process (:data:`_SUPERBLOCK_CODE`).  Each span gets its own function
+    object built from the shared code with ``types.FunctionType`` --
+    no per-span ``exec`` or namespace, so no cached object holds a
+    reference to any span's core or simulator.
 
     What the head does NOT collapse is the span's event cadence.  Every
     bucket append happens at a definite moment, and that moment fixes
@@ -1375,6 +1391,13 @@ def _make_superblock(core: Core, span: SuperblockSpan,
     S = semantics.SIGN_BIT
     _SIGNED_MIN, _SIGNED_MAX = -(1 << 63), (1 << 63) - 1
 
+    consts = []
+
+    def const(value) -> str:
+        """Bind one per-span value as the next ``_k<i>`` parameter."""
+        consts.append(value)
+        return f"_k{len(consts) - 1}"
+
     # Per-slot latencies drive the relay cadence; deltas[k - start] is
     # the cycle count between slot k's event and its successor's.
     deltas = []
@@ -1400,6 +1423,8 @@ def _make_superblock(core: Core, span: SuperblockSpan,
         "_push": _heappush,
         "_pl": payload,
         "_relay": relay,
+        "_M": M,
+        "_S": S,
     }
     if spec is not None:
         bindings["_spec"] = spec
@@ -1413,52 +1438,51 @@ def _make_superblock(core: Core, span: SuperblockSpan,
 
     def alu_stmt(instr, indent: str):
         """One inlined register-update statement (exact semantics)."""
-        op, rd, rs, rt = instr.op, instr.rd, instr.rs, instr.rt
-        if op is Opcode.NOP or rd == 0:
+        op = instr.op
+        if op is Opcode.NOP or instr.rd == 0:
             return None  # pure ops with discarded results emit nothing
+        dst = f"{indent}_r[{const(instr.rd)}] ="
         if op is Opcode.LI:
-            return f"{indent}_r[{rd}] = {instr.imm & M}"
-        if op is Opcode.MOV:
-            return f"{indent}_r[{rd}] = _r[{rs}]"
-        if op is Opcode.ADD:
-            return f"{indent}_r[{rd}] = (_r[{rs}] + _r[{rt}]) & {M}"
-        if op is Opcode.ADDI:
-            return f"{indent}_r[{rd}] = (_r[{rs}] + {instr.imm}) & {M}"
-        if op is Opcode.SUB:
-            return f"{indent}_r[{rd}] = (_r[{rs}] - _r[{rt}]) & {M}"
-        if op is Opcode.MUL:
-            return f"{indent}_r[{rd}] = (_r[{rs}] * _r[{rt}]) & {M}"
-        if op is Opcode.AND:
-            return f"{indent}_r[{rd}] = _r[{rs}] & _r[{rt}]"
-        if op is Opcode.OR:
-            return f"{indent}_r[{rd}] = _r[{rs}] | _r[{rt}]"
-        if op is Opcode.XOR:
-            return f"{indent}_r[{rd}] = _r[{rs}] ^ _r[{rt}]"
-        if op is Opcode.SLT:
-            return (f"{indent}_r[{rd}] = 1 if (_r[{rs}] ^ {S}) < "
-                    f"(_r[{rt}] ^ {S}) else 0")
-        if op is Opcode.SLTI and _SIGNED_MIN <= instr.imm <= _SIGNED_MAX:
-            return (f"{indent}_r[{rd}] = 1 if (_r[{rs}] ^ {S}) < "
-                    f"{(instr.imm & M) ^ S} else 0")
+            return f"{dst} {const(instr.imm & M)}"
         if op is Opcode.EXEC:
-            return f"{indent}_r[{rd}] = 0"
+            return f"{dst} 0"
+        rs = f"_r[{const(instr.rs)}]"
+        if op is Opcode.MOV:
+            return f"{dst} {rs}"
+        if op is Opcode.ADDI:
+            return f"{dst} ({rs} + {const(instr.imm)}) & _M"
+        if op is Opcode.SLTI and _SIGNED_MIN <= instr.imm <= _SIGNED_MAX:
+            return f"{dst} 1 if ({rs} ^ _S) < {const((instr.imm & M) ^ S)} else 0"
+        rt = f"_r[{const(instr.rt)}]"
+        if op is Opcode.ADD:
+            return f"{dst} ({rs} + {rt}) & _M"
+        if op is Opcode.SUB:
+            return f"{dst} ({rs} - {rt}) & _M"
+        if op is Opcode.MUL:
+            return f"{dst} ({rs} * {rt}) & _M"
+        if op is Opcode.AND:
+            return f"{dst} {rs} & {rt}"
+        if op is Opcode.OR:
+            return f"{dst} {rs} | {rt}"
+        if op is Opcode.XOR:
+            return f"{dst} {rs} ^ {rt}"
+        if op is Opcode.SLT:
+            return f"{dst} 1 if ({rs} ^ _S) < ({rt} ^ _S) else 0"
         # Fallback: evaluate through the shared semantics table.
-        name = f"_e{instr and id(instr)}"
-        bindings[name] = semantics._ALU_EVAL[op]
-        bindings[name + "i"] = instr
-        return (f"{indent}_r[{rd}] = {name}({name}i, _r[{rs}], _r[{rt}])")
+        return f"{dst} {const(semantics._ALU_EVAL[op])}({const(instr)}, {rs}, {rt})"
 
     def cond_expr(instr):
         """The branch-taken condition (exact semantics, inlined)."""
-        op, rs, rt = instr.op, instr.rs, instr.rt
+        op = instr.op
+        rs, rt = f"_r[{const(instr.rs)}]", f"_r[{const(instr.rt)}]"
         if op is Opcode.BEQ:
-            return f"_r[{rs}] == _r[{rt}]"
+            return f"{rs} == {rt}"
         if op is Opcode.BNE:
-            return f"_r[{rs}] != _r[{rt}]"
+            return f"{rs} != {rt}"
         if op is Opcode.BLT:
-            return f"(_r[{rs}] ^ {S}) < (_r[{rt}] ^ {S})"
+            return f"({rs} ^ _S) < ({rt} ^ _S)"
         if op is Opcode.BGE:
-            return f"(_r[{rs}] ^ {S}) >= (_r[{rt}] ^ {S})"
+            return f"({rs} ^ _S) >= ({rt} ^ _S)"
         raise SimulationError(f"unexpected branch opcode {op}")
 
     def exit_lines(pc: int, n_exec: int, lat: int, indent: str,
@@ -1469,11 +1493,12 @@ def _make_superblock(core: Core, span: SuperblockSpan,
         sums the unfused engine would have accumulated are charged as
         single constant adds.
         """
+        n = const(n_exec)
         out = [
-            f"{indent}_busy.value += {lat}",
-            f"{indent}_icnt.value += {n_exec}",
-            f"{indent}_core.instructions += {n_exec}",
-            f"{indent}_core.fused_instructions += {n_exec}",
+            f"{indent}_busy.value += {const(lat)}",
+            f"{indent}_icnt.value += {n}",
+            f"{indent}_core.instructions += {n}",
+            f"{indent}_core.fused_instructions += {n}",
             f"{indent}_core.fused_blocks += 1",
         ]
         if spec is not None:
@@ -1483,11 +1508,12 @@ def _make_superblock(core: Core, span: SuperblockSpan,
                 f"{indent}_rem = _spec._conservative_remaining",
                 f"{indent}if _rem > 0:",
                 f"{indent}    _spec._conservative_remaining = "
-                f"_rem - {n_exec} if _rem > {n_exec} else 0",
+                f"_rem - {n} if _rem > {n} else 0",
             ]
-        out.append(f"{indent}_core.pc = {pc}")
+        pc_name = const(pc)
+        out.append(f"{indent}_core.pc = {pc_name}")
         successor = ("(_step, (_core.epoch,))" if spec is not None
-                     else f"_entries[{pc}]")
+                     else f"_entries[{pc_name}]")
         if n_exec == 1:
             # Nothing elided: the head's schedule IS the successor
             # append, at the same moment as the unfused instruction's.
@@ -1495,12 +1521,12 @@ def _make_superblock(core: Core, span: SuperblockSpan,
         else:
             out += [
                 f"{indent}_pl[1] = 1",
-                f"{indent}_pl[2] = {n_exec}",
+                f"{indent}_pl[2] = {n}",
                 f"{indent}_pl[3] = {successor}",
                 f"{indent}_item = _relay",
             ]
         out += [
-            f"{indent}_t = _sim._now + {deltas[0]}",
+            f"{indent}_t = _sim._now + {const(deltas[0])}",
             f"{indent}_b = _buckets.get(_t)",
             f"{indent}if _b is None:",
             f"{indent}    _buckets[_t] = [_item]",
@@ -1551,13 +1577,18 @@ def _make_superblock(core: Core, span: SuperblockSpan,
     if not terminated:
         lines += exit_lines(stop, count, cum, "    ", is_last=True)
 
-    params = ", ".join(f"{name}={name}" for name in bindings)
+    params = ", ".join([*bindings, *(f"_k{i}" for i in range(len(consts)))])
     source = (f"def _superblock(instr, {params}):\n"
               + "\n".join(lines) + "\n")
-    code = compile(source, f"<superblock core{core.core_id}@{start}>", "exec")
-    namespace = dict(bindings)
-    exec(code, namespace)
-    return namespace["_superblock"]
+    code = _SUPERBLOCK_CODE.get(source)
+    if code is None:
+        module = compile(source, "<superblock>", "exec")
+        code = next(c for c in module.co_consts if isinstance(c, CodeType))
+        _SUPERBLOCK_CODE[source] = code
+    fused = FunctionType(code, globals(), "_superblock",
+                         (*bindings.values(), *consts))
+    fused.__qualname__ = f"superblock core{core.core_id}@{start}"
+    return fused
 
 
 _DISPATCH: Optional[dict] = None

@@ -7,15 +7,20 @@ invisible across speculation checkpoint/rollback.  These tests pin the
 structural rules directly and the timing-core behaviour end to end.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.cpu import core as core_module
 from repro.harness.experiments import e9_plan
 from repro.harness.parallel import result_fingerprint
-from repro.isa import Assembler
+from repro.isa import Assembler, semantics
 from repro.isa.instructions import Opcode
 from repro.isa.interpreter import _dispatch_pairs, superblock_spans
-from repro.sim.config import SystemConfig
+from repro.sim.config import SpeculationMode, SystemConfig
 from repro.system import System
+from repro.workloads.randmix import random_mix
 
 
 def _spans(program):
@@ -191,3 +196,112 @@ def test_superblocks_invisible_across_speculation_rollback():
     assert result_fingerprint(fused) == result_fingerprint(plain)
     assert fused.events == plain.events
     assert fused.cycles == plain.cycles
+
+
+# ------------------------------------------------------ code-object cache
+
+def _head(system, core_id, start=0):
+    """The fused closure installed at one core's span head slot."""
+    return system.cores[core_id]._decoded[start][0]
+
+
+def _branchy_head_program(a, b, c, imm_a, imm_b, trailing_halts):
+    """Slots 0-3 fuse (li, li, add, beq); only the registers, the
+    immediates and -- via the number of trailing HALTs -- the branch
+    target vary with the arguments."""
+    asm = Assembler("t").li(a, imm_a).li(b, imm_b).add(c, a, b)
+    asm.beq(c, 0, "out")
+    for _ in range(trailing_halts):
+        asm.halt()
+    asm.label("out")
+    asm.halt()
+    return asm.build()
+
+
+def test_span_shapes_share_one_code_object():
+    first = _branchy_head_program(1, 2, 3, 5, 7, trailing_halts=1)
+    second = _branchy_head_program(4, 5, 6, 9, -3, trailing_halts=2)
+    assert first.instructions[3].target != second.instructions[3].target
+    assert _spans(first) == _spans(second) == [(0, 4, True)]
+    config = SystemConfig(n_cores=2)
+    system = System(config, [first, second])
+    head0, head1 = _head(system, 0), _head(system, 1)
+    assert head0 is not head1
+    assert head0.__code__ is head1.__code__
+    assert head0.__qualname__ == "superblock core0@0"
+    assert head1.__qualname__ == "superblock core1@0"
+    result = system.run()
+    assert result.cores[0].registers[3] == 12
+    assert result.cores[1].registers[6] == 6
+
+    # An identical second machine compiles nothing new.
+    entries = len(core_module._SUPERBLOCK_CODE)
+    System(config, [first, second])
+    assert len(core_module._SUPERBLOCK_CODE) == entries
+
+
+def test_speculating_and_plain_cores_get_different_code():
+    # Only a speculation-capable core's closure carries the
+    # ``_spec.active`` guard, so the same span has two shapes.
+    program = _branchy_head_program(1, 2, 3, 5, 7, trailing_halts=1)
+    config = SystemConfig(n_cores=1)
+    plain = _head(System(config, [program]), 0)
+    spec = _head(System(config.with_speculation(SpeculationMode.ON_DEMAND),
+                        [program]), 0)
+    assert plain.__code__ is not spec.__code__
+    assert "_spec" in spec.__code__.co_varnames
+    assert "_spec" not in plain.__code__.co_varnames
+
+
+def test_finished_system_is_not_pinned_by_the_code_cache():
+    program = _alu_loop_program()
+    system = System(SystemConfig(n_cores=2), [program, program])
+    assert system.config.superblocks
+    result = system.run()
+    assert result.fused_instructions() > 0
+    sim = weakref.ref(system.sim)
+    del system, result
+    gc.collect()
+    assert sim() is None
+
+
+@pytest.mark.parametrize("imm", [2 ** 63, -(2 ** 63) - 1],
+                         ids=["above-int64", "below-int64"])
+def test_slti_outside_int64_uses_semantics_fallback(imm):
+    """SLTI with an immediate no signed 64-bit register can reach is the
+    one opcode the codegen cannot inline; it calls the shared
+    ``semantics`` evaluator instead, fused or not."""
+    asm = Assembler("t").li(1, 10).li(2, 1).li(3, -4)
+    asm.label("loop")
+    asm.slti(4, 1, imm)
+    asm.slti(5, 3, imm)
+    asm.add(6, 6, 4)
+    asm.add(7, 7, 5)
+    asm.sub(1, 1, 2)
+    asm.bne(1, 0, "loop")
+    asm.halt()
+    program = asm.build()
+    config = SystemConfig(n_cores=1)
+    system = System(config, [program])
+    head = _head(system, 0, start=3)
+    assert semantics._ALU_EVAL[Opcode.SLTI] in head.__defaults__
+    fused = system.run()
+    plain = _run(config.with_superblocks(False), [program])
+    assert fused.fused_instructions() > 0
+    assert fused.cores[0].registers == plain.cores[0].registers
+    assert fused.cycles == plain.cycles
+    assert result_fingerprint(fused) == result_fingerprint(plain)
+    expected = 10 if imm > 0 else 0
+    assert fused.cores[0].registers[6] == expected
+    assert fused.cores[0].registers[7] == expected
+
+
+def test_shape_cache_saturates_on_random_programs(monkeypatch):
+    # Were a per-span literal to leak back into the generated source,
+    # every seed would add fresh entries and this bound would break.
+    monkeypatch.setattr(core_module, "_SUPERBLOCK_CODE", {})
+    config = SystemConfig(n_cores=8)
+    for seed in range(1, 41):
+        workload = random_mix(8, seed=seed)
+        System(config, workload.programs, workload.initial_memory)
+    assert 0 < len(core_module._SUPERBLOCK_CODE) < 64
