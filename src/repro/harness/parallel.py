@@ -25,9 +25,9 @@ initial_memory, fault_plan, node_plan)`` and validation runs in the
 parent on the returned memory/register snapshot.
 
 **Resilience** (see docs/ROBUSTNESS.md): constructing the scheduler with
-``point_timeout`` and/or ``retries`` switches execution to a managed
-per-point process path -- a point that hangs past its wall-clock budget
-or whose worker process dies is retried with exponential backoff and,
+``point_timeout`` and/or ``retries`` switches execution to managed
+worker processes -- a point that hangs past its wall-clock budget or
+whose worker process dies is retried with exponential backoff and,
 once its attempts are exhausted, lands on an ``excluded`` skip list
 instead of sinking the whole grid.  ``checkpoint_dir`` persists each
 completed point's result to disk (atomically, keyed by fingerprint), so
@@ -40,11 +40,13 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
+from multiprocessing import util as mp_util
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.faults.nodeplan import NodeFaultPlan
@@ -209,44 +211,96 @@ def _worker_args(spec: RunSpec) -> tuple:
     return args
 
 
-def _isolated_point_worker(conn, worker, *args) -> None:
-    """Child-process entry for the resilient path: run one point, ship
-    the outcome back over ``conn``.  Exceptions become ("err", message)
-    -- the parent re-raises them as a :class:`SweepError` naming the
-    point -- and a crash (the process dying without sending) surfaces as
-    EOF on the parent's end."""
-    try:
-        payload = worker(*args)
-        conn.send(("ok", payload))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
+def _point_worker_loop(conn, parent_end, worker) -> None:
+    """Worker-process entry for the resilient path: serve points over
+    ``conn`` until a ``None`` task or EOF.  Each task is a
+    :func:`_worker_args` tuple; each reply is ``("ok", payload)`` or, for
+    an exception, ``("err", message)`` -- the parent re-raises the latter
+    as a :class:`SweepError` naming the point.  A crash (the process
+    dying without replying) surfaces as EOF on the parent's end."""
+    # The fork copied the parent's end of this pipe; holding it open here
+    # would keep EOF from ever reaching this loop.
+    parent_end.close()
+    while True:
         try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
+            task = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return  # parent gone, or a terminal Ctrl-C while idle
+        if task is None:
+            return
+        try:
+            conn.send(("ok", worker(*task)))
+        except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
+            try:
+                conn.send(("err", f"{type(exc).__name__}: {exc}"))
+            except Exception:
+                pass
+            if not isinstance(exc, Exception):
+                raise
+            return  # the parent discards a worker after an "err" reply
+
+
+def _reap(proc, term_grace: float) -> None:
+    """SIGTERM, wait ``term_grace`` seconds, then escalate to SIGKILL."""
+    proc.terminate()
+    proc.join(term_grace)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+
+
+def _stop_workers(workers: Dict, term_grace: float) -> None:
+    """Stop every worker in ``workers`` (parent connection -> process)
+    and empty it: each gets a ``None`` task and EOF, then ``term_grace``
+    seconds to exit before it is reaped."""
+    for conn in workers:
+        try:
+            conn.send(None)
+        except OSError:
+            pass  # already dead
         conn.close()
+    for proc in workers.values():
+        proc.join(term_grace)
+        if proc.is_alive():
+            _reap(proc, term_grace)
+    workers.clear()
+
+
+#: Held from pipe creation until the parent has closed its copy of the
+#: child's end, so a worker forked by another runner in this process
+#: never inherits that end (it would hide this worker's crash EOF).
+_FORK_LOCK = threading.Lock()
 
 
 class ResilientPointRunner:
-    """Managed per-point worker processes, reusable outside the scheduler.
+    """Managed worker processes, reusable outside the scheduler.
 
     This is the fault-tolerant execution tier shared by
     :class:`SweepScheduler` (its ``point_timeout``/``retries`` path) and
-    the resident experiment service (:mod:`repro.service.server`): one
-    :mod:`multiprocessing` process per in-flight point (up to ``jobs``),
-    talking back over a pipe.  Timeouts kill the process; crashes
-    surface as EOF; both requeue the point with exponential backoff and,
-    once attempts are exhausted, report it to ``on_exclude`` instead of
-    sinking the rest of the batch.  Deterministic worker exceptions go
-    straight to ``on_error`` -- retrying a deterministic simulation
-    cannot change its outcome.
+    the resident experiment service (:mod:`repro.service.server`): up to
+    ``jobs`` persistent :mod:`multiprocessing` workers, each serving one
+    point at a time over its own pipe.  A worker is forked on the first
+    dispatch that finds none idle and is reused only after an ``"ok"``
+    reply, so it keeps its code cache and private pages warm across
+    points.  Timeouts kill the worker; crashes surface as EOF; both
+    discard it and requeue the point with exponential backoff and, once
+    attempts are exhausted, report it to ``on_exclude`` instead of
+    sinking the rest of the batch.  Deterministic worker exceptions also
+    discard the worker and go straight to ``on_error`` -- retrying a
+    deterministic simulation cannot change its outcome.  A replacement is
+    forked on the next dispatch.
 
     Kill semantics: a timed-out worker gets SIGTERM, then up to
     ``term_grace`` seconds to die, then SIGKILL -- a worker wedged in a
     state where it ignores SIGTERM can therefore never hang the batch.
-    Each point's wall-clock budget starts at *its own* launch, not at
-    the top of the launch loop, so sibling start-up cost is never
+    Each point's wall-clock budget starts at *its own* dispatch, not at
+    the top of the dispatch loop, so sibling start-up cost is never
     charged against a point's ``point_timeout``.
+
+    :meth:`close` stops the idle workers (a later :meth:`run` forks new
+    ones); it is idempotent, and also runs when the runner is collected
+    or the interpreter exits, so an unclosed runner never hangs exit.
+    Workers are not daemonic, so a sharded point can fork its shards.
     """
 
     def __init__(self, worker: Callable = simulate_point, jobs: int = 1,
@@ -270,30 +324,58 @@ class ResilientPointRunner:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             self._ctx = multiprocessing.get_context("spawn")
+        #: parent-side connection -> process, for every live worker
+        self._workers: Dict = {}
+        #: connections of the workers waiting for a point
+        self._idle: List = []
+        # Runs before multiprocessing's exit handler joins the
+        # (non-daemonic) workers, which would otherwise wait forever.
+        mp_util.Finalize(self, _stop_workers,
+                         args=(self._workers, term_grace), exitpriority=10)
+
+    def _fork(self):
+        """Start one worker process; returns its parent-side connection."""
+        with _FORK_LOCK:
+            parent_conn, child_conn = self._ctx.Pipe()
+            proc = self._ctx.Process(
+                target=_point_worker_loop,
+                args=(child_conn, parent_conn, self.worker))
+            proc.start()
+            child_conn.close()
+        self._workers[parent_conn] = proc
+        return parent_conn
 
     def _launch(self, spec: RunSpec):
-        """Start one worker process; returns (parent_conn, process)."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_isolated_point_worker,
-            args=(child_conn, self.worker) + _worker_args(spec))
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
+        """Dispatch one point to an idle worker, forking one if none is
+        idle; returns the worker's connection."""
+        task = _worker_args(spec)
+        while self._idle:
+            conn = self._idle.pop()
+            try:
+                conn.send(task)
+                return conn
+            except OSError:  # died while idle: not this point's attempt
+                self._discard(conn)
+        conn = self._fork()
+        conn.send(task)
+        return conn
 
-    def _reap(self, proc) -> None:
-        """SIGTERM, wait ``term_grace`` seconds, then escalate to SIGKILL."""
-        proc.terminate()
-        proc.join(self.term_grace)
+    def _discard(self, conn, graceful: bool = False):
+        """Drop one worker; returns its (finished) process.  ``graceful``
+        waits up to ``term_grace`` for a worker that is already exiting
+        before the SIGTERM -> SIGKILL escalation."""
+        proc = self._workers.pop(conn)
+        conn.close()
+        if graceful:
+            proc.join(self.term_grace)
         if proc.is_alive():
-            proc.kill()
-            proc.join()
+            _reap(proc, self.term_grace)
+        return proc
 
-    def _join_or_reap(self, proc) -> None:
-        """Bounded join for a worker that already reported its outcome."""
-        proc.join(self.term_grace)
-        if proc.is_alive():  # pragma: no cover - sent a result, then wedged
-            self._reap(proc)
+    def close(self) -> None:
+        """Stop every worker; idempotent."""
+        self._idle.clear()
+        _stop_workers(self._workers, self.term_grace)
 
     def run(self, pending: List[Tuple[str, RunSpec]],
             on_result: Callable, on_error: Callable, on_exclude: Callable,
@@ -309,7 +391,7 @@ class ResilientPointRunner:
         """
         work = [{"key": key, "spec": spec, "attempt": 0, "ready_at": 0.0}
                 for key, spec in pending]
-        #: conn -> (item, process, deadline or None)
+        #: conn -> (item, deadline or None)
         active: Dict = {}
 
         def requeue_or_exclude(item, reason):
@@ -334,14 +416,14 @@ class ResilientPointRunner:
                     if index is None:
                         break
                     item = work.pop(index)
-                    conn, proc = self._launch(item["spec"])
-                    # Budget the timeout from *this* launch: a clock read
-                    # taken before sibling launches would charge their
-                    # start-up cost against this point.
+                    conn = self._launch(item["spec"])
+                    # Budget the timeout from *this* dispatch: a clock
+                    # read taken before sibling dispatches would charge
+                    # their start-up cost against this point.
                     now = time.monotonic()
                     deadline = (now + self.point_timeout
                                 if self.point_timeout is not None else None)
-                    active[conn] = (item, proc, deadline)
+                    active[conn] = (item, deadline)
                 if not active:
                     # Everything left is backing off; sleep to the nearest
                     # retry release.
@@ -350,40 +432,37 @@ class ResilientPointRunner:
                     continue
                 now = time.monotonic()
                 wait_for = 0.05
-                deadlines = [d for _, _, d in active.values() if d is not None]
+                deadlines = [d for _, d in active.values() if d is not None]
                 if deadlines:
                     wait_for = min(wait_for, max(0.0, min(deadlines) - now))
                 for conn in mp_connection.wait(list(active), timeout=wait_for):
-                    item, proc, _ = active.pop(conn)
+                    item, _ = active.pop(conn)
                     try:
                         status, payload = conn.recv()
                     except (EOFError, OSError):
-                        self._join_or_reap(proc)
-                        conn.close()
+                        proc = self._discard(conn, graceful=True)
                         requeue_or_exclude(
                             item,
                             f"worker process died (exit code {proc.exitcode})")
                         continue
-                    conn.close()
-                    self._join_or_reap(proc)
                     if status == "ok":
+                        self._idle.append(conn)
                         result, seconds = payload
                         on_result(item["key"], item["spec"], result, seconds)
                     else:
+                        self._discard(conn)
                         on_error(item["key"], item["spec"], payload)
                 now = time.monotonic()
-                for conn, (item, proc, deadline) in list(active.items()):
+                for conn, (item, deadline) in list(active.items()):
                     if deadline is not None and now > deadline and not conn.poll():
                         del active[conn]
-                        self._reap(proc)
-                        conn.close()
+                        self._discard(conn)
                         requeue_or_exclude(
                             item,
                             f"timed out after {self.point_timeout:g}s")
         finally:
-            for conn, (item, proc, _) in active.items():
-                self._reap(proc)
-                conn.close()
+            for conn in active:
+                self._discard(conn)
 
 
 @dataclass
@@ -448,7 +527,7 @@ class SweepScheduler:
     experiments only simulates points not seen before.
 
     Resilience options (any of them set switches execution to the
-    managed per-point-process path):
+    managed worker processes of :class:`ResilientPointRunner`):
 
     ``point_timeout``
         wall-clock seconds one point may take before its worker is
@@ -631,8 +710,11 @@ class SweepScheduler:
         def on_retry(fp, spec, reason):
             self._retries_this_run += 1
 
-        runner.run(pending, on_result=on_result, on_error=on_error,
-                   on_exclude=on_exclude, on_retry=on_retry)
+        try:
+            runner.run(pending, on_result=on_result, on_error=on_error,
+                       on_exclude=on_exclude, on_retry=on_retry)
+        finally:
+            runner.close()
 
     # --------------------------------------------------------- checkpoints
 

@@ -164,6 +164,15 @@ class Instruction:
         it always needs write permission)."""
         return self.op is Opcode.STORE or self.op in _ATOMICS
 
+    def __repr__(self) -> str:
+        # Byte-identical to the dataclass-generated repr, which
+        # ``point_fingerprint`` hashes for every instruction; the enum
+        # reprs are looked up instead of rebuilt on every call.
+        return (f"{type(self).__qualname__}(op={_OP_REPR[self.op]}, "
+                f"rd={self.rd!r}, rs={self.rs!r}, rt={self.rt!r}, "
+                f"ru={self.ru!r}, imm={self.imm!r}, "
+                f"fence={_FENCE_REPR[self.fence]}, target={self.target!r})")
+
     def __str__(self) -> str:
         if self.op is Opcode.FENCE:
             return f"FENCE {self.fence.value}"
@@ -172,3 +181,7 @@ class Instruction:
         if self.is_memory:
             return f"{self.op.name} rd=r{self.rd} [r{self.rs}+{self.imm}] rt=r{self.rt}"
         return f"{self.op.name} rd=r{self.rd} rs=r{self.rs} rt=r{self.rt} imm={self.imm}"
+
+
+_OP_REPR = {op: repr(op) for op in Opcode}
+_FENCE_REPR = {kind: repr(kind) for kind in (None, *FenceKind)}

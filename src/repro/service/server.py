@@ -11,7 +11,7 @@ Architecture (see docs/SERVICE.md)::
                                          ExperimentService._process
                                            /                \\
                                   ResultStore hit?    ResilientPointRunner
-                                  (bloom -> disk,     (per-point processes,
+                                  (bloom -> disk,     (warm worker processes,
                                    verified record)    timeouts/retries/kill)
 
 ``ExperimentService`` is the embeddable core -- no sockets -- so tests
@@ -49,7 +49,7 @@ from repro.harness.parallel import (
     simulate_point,
 )
 from repro.service.jobqueue import Job, JobQueue, RateLimited
-from repro.service.store import ResultStore, pack_record
+from repro.service.store import ResultStore
 from repro.sim.config import SystemConfig
 from repro.workloads.base import Workload
 
@@ -195,11 +195,12 @@ class ExperimentService:
         self._thread.start()
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._running.clear()
-        self._thread.join()
-        self._thread = None
+        """Stop the dispatcher, then the runner's worker processes."""
+        if self._thread is not None:
+            self._running.clear()
+            self._thread.join()
+            self._thread = None
+        self._runner.close()
 
     # ----------------------------------------------------------- submission
 
@@ -222,8 +223,8 @@ class ExperimentService:
             self.jobs_done += 1
 
     def _point_event(self, point: ServicePoint, source: str,
-                     result, result_fp: str, point_fp: str) -> dict:
-        record = pack_record(result, point_fp=point_fp, result_fp=result_fp)
+                     result, result_fp: str, point_fp: str,
+                     record: bytes) -> dict:
         event = {"event": "point", "label": point.label, "status": "done",
                  "source": source, "point_fingerprint": point_fp,
                  "result_fingerprint": result_fp,
@@ -242,12 +243,12 @@ class ExperimentService:
         pending = []
         for point in job.points:
             fp = point.fingerprint()
-            cached = self.store.get(fp)
+            cached = self.store.get_record(fp)
             if cached is not None:
-                result, rfp = cached
+                result, rfp, record = cached
                 stats["from_store"] += 1
                 job.events.put(self._point_event(point, "store", result,
-                                                 rfp, fp))
+                                                 rfp, fp, record))
                 continue
             if fp in waiting:
                 stats["deduplicated"] += 1
@@ -257,11 +258,11 @@ class ExperimentService:
             pending.append((fp, point.to_spec()))
 
         def on_result(fp, spec, result, seconds):
-            rfp = self.store.put(fp, result)
+            rfp, record = self.store.put_record(fp, result)
             for i, point in enumerate(waiting[fp]):
                 stats["simulated" if i == 0 else "from_store"] += 1
                 job.events.put(self._point_event(point, "simulated", result,
-                                                 rfp, fp))
+                                                 rfp, fp, record))
 
         def on_error(fp, spec, message):
             # Do not raise: one broken point must not sink the job's

@@ -153,6 +153,13 @@ class ResultStore:
         Never raises on a bad record: integrity failures are counted,
         the offending file is evicted, and the caller re-simulates.
         """
+        hit = self.get_record(point_fp)
+        return None if hit is None else hit[:2]
+
+    def get_record(self, point_fp: str
+                   ) -> Optional[Tuple[SystemResult, str, bytes]]:
+        """:meth:`get` plus the record bytes it just verified, so a
+        caller can forward the record without packing it again."""
         if point_fp not in self._bloom:
             with self._lock:
                 self.bloom_skips += 1
@@ -175,10 +182,15 @@ class ResultStore:
             return None
         with self._lock:
             self.hits += 1
-        return result, rfp
+        return result, rfp, data
 
     def put(self, point_fp: str, result: SystemResult) -> str:
         """Persist one result atomically; returns its result fingerprint."""
+        return self.put_record(point_fp, result)[0]
+
+    def put_record(self, point_fp: str, result: SystemResult
+                   ) -> Tuple[str, bytes]:
+        """:meth:`put` that also returns the record bytes it wrote."""
         rfp = result_fingerprint(result)
         data = pack_record(result, point_fp=point_fp, result_fp=rfp)
         path = self._path(point_fp)
@@ -192,7 +204,7 @@ class ResultStore:
             self._bloom.add(point_fp)
             if fresh:
                 self._count += 1
-        return rfp
+        return rfp, data
 
     def _evict(self, point_fp: str) -> None:
         try:

@@ -1,6 +1,9 @@
 """Tests for the micro-ISA: instructions, assembler, semantics."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.isa import Assembler, FenceKind, Opcode, Program
 from repro.isa.instructions import Instruction, REG_COUNT, WORD_BYTES
@@ -220,3 +223,45 @@ class TestSemantics:
     def test_atomic_result_rejects_non_atomic(self):
         with pytest.raises(ValueError):
             semantics.atomic_result(Instruction(Opcode.LOAD), 0, 0, 0)
+
+
+# ------------------------------------------------------------------ repr
+#
+# ``point_fingerprint`` hashes ``repr(instr)``, so the hand-written
+# ``Instruction.__repr__`` must stay byte-identical to the dataclass
+# field format it replaced.
+
+def _dataclass_repr(instr: Instruction) -> str:
+    fields = ", ".join(f"{f.name}={getattr(instr, f.name)!r}"
+                       for f in dataclasses.fields(instr))
+    return f"{type(instr).__qualname__}({fields})"
+
+
+_registers = st.integers(min_value=0, max_value=REG_COUNT - 1)
+_wide_ints = st.integers(min_value=-2**64, max_value=2**64)
+
+
+@given(op=st.sampled_from(Opcode), rd=_registers, rs=_registers,
+       rt=_registers, ru=_registers, imm=_wide_ints,
+       fence=st.none() | st.sampled_from(FenceKind),
+       target=st.none() | _wide_ints)
+def test_repr_matches_dataclass_field_format(op, rd, rs, rt, ru, imm,
+                                             fence, target):
+    if op is Opcode.FENCE and fence is None:
+        fence = FenceKind.FULL
+    if op is Opcode.EXEC and imm < 1:
+        imm = 1 - imm
+    instr = Instruction(op, rd=rd, rs=rs, rt=rt, ru=ru, imm=imm,
+                        fence=fence, target=target)
+    assert repr(instr) == _dataclass_repr(instr)
+
+
+def test_repr_covers_every_opcode_and_fence_kind():
+    for op in Opcode:
+        for fence in (None, *FenceKind):
+            if op is Opcode.FENCE and fence is None:
+                continue
+            instr = Instruction(op, rd=1, rs=2, rt=3, ru=4,
+                                imm=2**63 if op is Opcode.EXEC else -2**63,
+                                fence=fence, target=7)
+            assert repr(instr) == _dataclass_repr(instr)

@@ -384,3 +384,25 @@ def test_chaos_point_streams_fault_counters(server):
     assert client.last_job_stats["from_store"] == 1
     replayed = [e for e in events2 if e["event"] == "point"][0]
     assert replayed["faults"] == faults
+
+
+def test_point_events_stream_the_stored_record_bytes(tmp_path):
+    """A miss streams the record ``put`` wrote and a hit the record the
+    store just verified: both are the on-disk bytes, packed once."""
+    import base64
+    store = ResultStore(str(tmp_path / "store"))
+    service = ExperimentService(store, jobs=1, rate=100.0, burst=100.0)
+    service.start()
+    try:
+        point = ServicePoint.from_spec(_grid(1)[0])
+        miss, hit = (
+            [e for e in _drain(service.submit("t", [point]))
+             if e["event"] == "point"][0]
+            for _ in range(2))
+    finally:
+        service.stop()
+    with open(store._path(point.fingerprint()), "rb") as fh:
+        on_disk = fh.read()
+    assert (miss["source"], hit["source"]) == ("simulated", "store")
+    assert base64.b64decode(miss["result"]) == on_disk
+    assert base64.b64decode(hit["result"]) == on_disk

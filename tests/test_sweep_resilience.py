@@ -10,14 +10,18 @@ the offending (config, workload) point.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import shutil
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.faults import FaultPlan
 from repro.harness.parallel import (
     ResilientPointRunner,
@@ -29,7 +33,15 @@ from repro.harness.parallel import (
     simulate_point,
 )
 from repro.isa.program import Assembler
+from repro.service import (
+    ExperimentClient,
+    ExperimentServer,
+    ExperimentService,
+    ResultStore,
+)
 from repro.workloads.base import Workload
+from repro.workloads.locks import lock_contention
+from repro.workloads.producer_consumer import pingpong
 from tests.conftest import small_config
 
 _CRASH_MARKER_ENV = "REPRO_TEST_CRASH_MARKER"
@@ -407,3 +419,164 @@ def test_tampered_checkpoint_fingerprint_fails_integrity(tmp_path):
     resumed.add("g", _grid(1))
     assert resumed.run().checkpoint_hits == 0
     resumed.results_for("g")
+
+
+# ------------------------------------------------------- worker lifecycle
+#
+# Workers persist across points: one is forked on the first dispatch
+# that finds none idle, reused after an "ok" reply, and discarded after
+# an "err" reply, a crash or a timeout.
+
+#: Address whose initial value tells ``_pid_worker`` what to do.
+_MODE_ADDR = 0x2_0000
+_OK, _RAISE, _HANG, _EXIT = range(4)
+
+
+def _pid_worker(config, programs, initial_memory, fault_plan=None,
+                node_plan=None):
+    mode = initial_memory.get(_MODE_ADDR, _OK)
+    if mode == _RAISE:
+        raise ValueError("intentionally broken point")
+    if mode == _HANG:
+        time.sleep(60)
+    if mode == _EXIT:
+        os._exit(3)
+    return os.getpid(), 0.0
+
+
+def _pid_simulate_worker(config, programs, initial_memory, fault_plan=None,
+                         node_plan=None):
+    result, seconds = simulate_point(config, programs, initial_memory,
+                                     fault_plan, node_plan)
+    return (result, os.getpid()), seconds
+
+
+def _mode_spec(label: str, mode: int = _OK) -> RunSpec:
+    return RunSpec(label, small_config(1),
+                   Workload(label, _workload().programs, {_MODE_ADDR: mode}))
+
+
+def _run_in_order(runner, specs):
+    """Label -> the worker's payload, or the outcome's kind ("error" or
+    "excluded"), for points dispatched one after another."""
+    outcomes = {}
+    runner.run([(spec.label, spec) for spec in specs],
+               on_result=lambda key, spec, result, s: outcomes.__setitem__(
+                   key, result),
+               on_error=lambda key, spec, msg: outcomes.__setitem__(
+                   key, "error"),
+               on_exclude=lambda key, spec, reason: outcomes.__setitem__(
+                   key, "excluded"))
+    return outcomes
+
+
+def test_successive_points_reuse_one_worker():
+    runner = ResilientPointRunner(worker=_pid_worker, jobs=1)
+    try:
+        first = _run_in_order(runner, [_mode_spec("a"), _mode_spec("b")])
+        again = _run_in_order(runner, [_mode_spec("c")])
+    finally:
+        runner.close()
+    assert first["a"] == first["b"] == again["c"] != os.getpid()
+
+
+@pytest.mark.parametrize("mode, outcome", [(_RAISE, "error"),
+                                           (_HANG, "excluded"),
+                                           (_EXIT, "excluded")],
+                         ids=["err-reply", "timeout", "os-exit"])
+def test_failed_point_discards_its_worker(mode, outcome):
+    runner = ResilientPointRunner(worker=_pid_worker, jobs=1,
+                                  point_timeout=2.0, retries=0,
+                                  term_grace=0.5)
+    try:
+        got = _run_in_order(runner, [_mode_spec("before"),
+                                     _mode_spec("bad", mode),
+                                     _mode_spec("after")])
+        assert got["bad"] == outcome
+        assert got["before"] != got["after"]
+        assert [p.pid for p in multiprocessing.active_children()] == \
+            [got["after"]]
+    finally:
+        runner.close()
+
+
+def test_reused_worker_matches_fresh_process_results():
+    a = RunSpec("a", small_config(2), pingpong(n_pairs=1, rounds=4),
+                fault_plan=FaultPlan(seed=7, jitter_prob=0.25, max_jitter=5))
+    b = RunSpec("b", small_config(2), lock_contention(2, increments=6))
+    fresh = {}
+    for spec in (a, b):
+        runner = ResilientPointRunner(worker=_pid_simulate_worker, jobs=1)
+        try:
+            (result, _pid), = _run_in_order(runner, [spec]).values()
+        finally:
+            runner.close()
+        fresh[spec.label] = result_fingerprint(result)
+
+    runner = ResilientPointRunner(worker=_pid_simulate_worker, jobs=1)
+    try:
+        reused = _run_in_order(runner, [a, b, RunSpec("a2", a.config,
+                                                      a.workload,
+                                                      fault_plan=a.fault_plan)])
+    finally:
+        runner.close()
+    assert len({pid for _result, pid in reused.values()}) == 1
+    assert {label: result_fingerprint(result)
+            for label, (result, _pid) in reused.items()} == \
+        {"a": fresh["a"], "b": fresh["b"], "a2": fresh["a"]}
+
+
+def test_no_worker_outlives_a_resilient_sweep():
+    scheduler = SweepScheduler(jobs=2, retries=1)
+    scheduler.add("g", _grid(3))
+    scheduler.run()
+    assert multiprocessing.active_children() == []
+    scheduler.results_for("g")
+
+
+def test_no_worker_outlives_server_stop(tmp_path):
+    service = ExperimentService(ResultStore(str(tmp_path / "store")),
+                                jobs=2, rate=100.0, burst=100.0)
+    server = ExperimentServer(str(tmp_path / "svc.sock"), service)
+    server.start()
+    try:
+        ExperimentClient(server.socket_path).run_grid(_grid(2))
+        assert multiprocessing.active_children() != []  # kept warm
+    finally:
+        server.stop()
+    assert multiprocessing.active_children() == []
+    server.stop()                                   # idempotent
+
+
+_UNSTOPPED_SERVICE = """
+import sys
+from repro.isa.program import Assembler
+from repro.service import ExperimentService, ResultStore, ServicePoint
+from repro.sim.config import SystemConfig
+from repro.workloads.base import Workload
+
+asm = Assembler("w.t0")
+asm.li(1, 0x1_0000).li(2, 5)
+asm.store(2, base=1)
+asm.halt()
+point = ServicePoint("p", "w", SystemConfig(n_cores=1), [asm.build()], {})
+service = ExperimentService(ResultStore(sys.argv[1]), jobs=1)
+service.start()
+job = service.submit("t", [point])
+while True:
+    event = job.events.get(timeout=60)
+    if event["event"] == "job-done":
+        print(event["stats"]["simulated"])
+        break
+# no service.stop(): interpreter exit must still finish
+"""
+
+
+def test_unstopped_service_does_not_hang_interpreter_exit(tmp_path):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _UNSTOPPED_SERVICE, str(tmp_path / "store")],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
