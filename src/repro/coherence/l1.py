@@ -195,6 +195,10 @@ class L1Cache:
         self.access_listener: Optional[Callable] = None
         self.forward_listener: Optional[Callable] = None
         self.fence_listener: Optional[Callable] = None
+        #: set by the owning core while it is parked on a spin loop
+        #: (see Core._park_entry): called before any message is handled,
+        #: since only a message can change the block the core spins on.
+        self.wake_listener: Optional[Callable[[], None]] = None
 
         prefix = f"l1.{node_id}"
         self.stat_hits = stats.counter(f"{prefix}.hits")
@@ -590,6 +594,8 @@ class L1Cache:
     # ------------------------------------------------- network message side
 
     def receive(self, msg: Message) -> None:
+        if self.wake_listener is not None:
+            self.wake_listener()
         handler = self._receive_handlers.get(msg.mtype)
         if handler is None:
             raise SimulationError(f"L1 {self.node_id}: unexpected message {msg}")
@@ -626,6 +632,8 @@ class L1Cache:
         uid drops exactly the injected copies; retries carry fresh uids
         and pass through.
         """
+        if self.wake_listener is not None:
+            self.wake_listener()
         seen = self._seen_uids
         if msg.uid in seen:
             self.stat_dups_suppressed.value += 1

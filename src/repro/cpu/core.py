@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from heapq import heappush as _heappush
+from itertools import accumulate
 from types import CodeType, FunctionType
 from typing import Callable, Optional, Tuple
 
@@ -31,7 +32,12 @@ from repro.cpu.regfile import RegisterFile
 from repro.cpu.storebuffer import StoreBuffer
 from repro.isa import semantics
 from repro.isa.instructions import _ALU, _ATOMICS, _BRANCHES, Instruction, Opcode
-from repro.isa.interpreter import SuperblockSpan, superblock_spans
+from repro.isa.interpreter import (
+    SPIN_MAX_BRANCHES,
+    SuperblockSpan,
+    spin_loops,
+    superblock_spans,
+)
 from repro.isa.program import Program
 from repro.sim.config import CoreConfig, SpeculationConfig, SpeculationMode
 from repro.sim.engine import SimulationError, Simulator
@@ -223,8 +229,20 @@ class Core:
             and spec_config.mode is not SpeculationMode.CONTINUOUS)
         self.fused_instructions = 0
         self.fused_blocks = 0
+        #: Fused span per head slot (empty without fusion); spin parking
+        #: reads it to replay the fused cadence of a loop's branches.
+        self._fused_spans: dict = {}
         if self.superblocks:
             self._install_superblocks(program)
+        # Spin parking (see _install_spin_parking): same engine and mode
+        # rules as fusion.  ``parked_slots`` counts the event slots that
+        # relay chains stood in for; a plain attribute, like the fusion
+        # counters, so results and fingerprints never see it.
+        self.parked_slots = 0
+        self._park: Optional[_Park] = None
+        self._spin_shapes: dict = {}
+        if sim.fastpath and not self._spec_continuous:
+            self._install_spin_parking(program)
         self._entries.extend((h, (ins,)) for h, ins in self._decoded)
         if self.spec is None:
             # No speculation: the epoch never advances and a halted core
@@ -287,6 +305,20 @@ class Core:
         for span in superblock_spans(program):
             fused = _make_superblock(self, span, decoded)
             decoded[span.start] = (fused, instructions[span.start])
+            self._fused_spans[span.start] = span
+
+    def _install_spin_parking(self, program: Program) -> None:
+        """Overlay parking-capable closures onto spin-loop load slots.
+
+        Only loads :func:`~repro.isa.interpreter.spin_loops` names get
+        the parking closure (:func:`_make_spin_load`); every other slot,
+        and every slot of a program without spin loops, keeps the
+        closure it was decoded to.
+        """
+        decoded = self._decoded
+        for index in spin_loops(program):
+            instr = decoded[index][1]
+            decoded[index] = (_make_spin_load(self, instr, index), instr)
 
     # ----------------------------------------------------------- lifecycle
 
@@ -304,9 +336,11 @@ class Core:
         their relays, the load-completion retirement paths -- fetches the
         next handler from the shared ``_decoded``/``_entries`` list
         objects *at dispatch time*, so wrapping the handlers in place
-        gates all of them at instruction boundaries.  Only cores named by
-        an active :class:`~repro.faults.nodeplan.NodeFaultPlan` are
-        wrapped; every other core keeps its original closures.
+        gates all of them at instruction boundaries.  A parked spinner
+        (see :meth:`_park_entry`) dispatches nothing until it wakes, and
+        :meth:`nf_pause`/:meth:`nf_crash` wake it first.  Only cores
+        named by an active :class:`~repro.faults.nodeplan.NodeFaultPlan`
+        are wrapped; every other core keeps its original closures.
         """
         if self._nf_guarded:
             return
@@ -333,6 +367,8 @@ class Core:
         """
         if self.halted or self.nf_state == 2:
             return False
+        if self._park is not None:
+            self._spin_wake()
         self.nf_state = 2
         self.nf_crashed_at = self.sim.now
         self._nf_stash = None
@@ -359,6 +395,8 @@ class Core:
         """
         if self.halted or self.nf_state != 0:
             return False
+        if self._park is not None:
+            self._spin_wake()
         self.nf_state = 1
         self.nf_paused_at = self.sim.now
         self.nf_resume_at = resume_at
@@ -380,6 +418,203 @@ class Core:
         if stash is not None and stash[2] == self.epoch:
             self._schedule_fast(0, stash[0], stash[1])
         return True
+
+    # -------------------------------------------------------- spin parking
+    #
+    # A core spinning on an L1-resident block repeats one iteration
+    # exactly until the block changes, and the block can change only
+    # through a message to this core's L1 (the core itself issues
+    # nothing else while it spins).  So at the spin load's dispatch the
+    # core may *park*: instead of the load-hit event it queues one
+    # engine-level relay chain (Simulator.make_relay) whose entries are
+    # appended at exactly the moments the load-hit, branch and load
+    # events would have been, so every bucket position and the event
+    # count are unchanged while no Python runs per iteration.  The
+    # parked iterations' effects are charged arithmetically (settle) and
+    # the chain's live entry is swapped, in place, for the real one when
+    # the L1 receives anything, at a node fault, or when the finite
+    # chain runs out.  docs/PERF.md ("Spin parking") has the argument.
+
+    def _park_entry(self, load: int, instr: Instruction, addr: int,
+                    po: int, now: int) -> tuple:
+        """The entry a spin load appends at ``now + hit_latency``.
+
+        Called by the spin-load closure after the load's own issue work,
+        with an empty store buffer and no active episode.  Returns a
+        fresh relay chain (and parks the core) when parking is exact
+        here, else the plain load-hit entry.
+        """
+        l1 = self.l1
+        entry = (self._load_hit_h, (addr, po))
+        if l1.access_listener is not None or l1._mshrs:
+            return entry
+        array = l1.array
+        block_addr = addr & l1._block_mask
+        index = (block_addr >> l1._offset_bits) & l1._set_mask
+        block = array._sets[index].get(block_addr)
+        # MRU: every parked hit's LRU touch must be a no-op.
+        if (block is None or not block.state.readable
+                or array._mru[index] != block_addr):
+            return entry
+        word = block.data[(addr & l1._word_mask) >> 3] & _WORD_MASK
+        path = self._spin_path(load, instr.rd, word)
+        if path is None:
+            return entry
+        shape = self._spin_shapes.get((load, path))
+        if shape is None:
+            shape = self._spin_shapes[(load, path)] = _SpinShape(
+                load, instr.rd, path, l1._hit_latency)
+        relay = Simulator.make_relay(shape.deltas)
+        final = (self._spin_final, ())
+        payload = relay[1]
+        payload[2] = shape.stop
+        payload[3] = final
+        self._park = _Park(shape, relay, final, now, addr, word, po)
+        l1.wake_listener = self._spin_wake
+        return relay
+
+    def _spin_path(self, load: int, rd: int, word: int):
+        """The branch slots one iteration runs after the load hits.
+
+        Evaluates the loop's continuation with ``rd`` holding ``word``
+        and returns ``((slot, fused), ...)`` -- ``fused`` is the executed
+        instruction count at a fused span's head, else 0 -- if it is
+        branches only, at most :data:`SPIN_MAX_BRANCHES` slots, and
+        leads back to ``load``; otherwise None.  Branches write no
+        register, so the same path repeats until the block changes.
+        """
+        regs = self._regfile
+        instructions = self.program.instructions
+        evaluate = semantics._BRANCH_EVAL
+        path = []
+        pc = load + 1
+        while pc != load:
+            span = self._fused_spans.get(pc)
+            stop = span.stop if span is not None else pc + 1
+            head = pc
+            count = 0
+            while True:
+                if len(path) + count >= SPIN_MAX_BRANCHES \
+                        or pc >= len(instructions):
+                    return None
+                branch = instructions[pc]
+                if branch.op not in _BRANCHES:
+                    return None
+                count += 1
+                rs = word if branch.rs == rd else regs[branch.rs]
+                rt = word if branch.rt == rd else regs[branch.rt]
+                if evaluate[branch.op](branch, rs, rt):
+                    pc = branch.target
+                    break
+                pc += 1
+                if pc == stop:
+                    break
+            path.append((head, count if span is not None else 0))
+            path.extend((slot, 0) for slot in range(head + 1, head + count))
+        return tuple(path)
+
+    def _parked_consumed(self, park: "_Park") -> int:
+        """How many chain slots the engine has dispatched so far."""
+        consumed = park.relay[1][1]
+        stop = park.shape.stop
+        if consumed == stop - 1:
+            # The last relay leaves its index in place when it appends
+            # the final entry: it has fired iff that entry is queued.
+            bucket = self.sim._buckets.get(park.slot_time(stop), ())
+            if any(entry is park.final for entry in bucket):
+                consumed = stop
+        return consumed
+
+    def _settle_to(self, park: "_Park", consumed: int) -> None:
+        """Charge chain slots ``[park.settled, consumed)``.
+
+        Per slot kind, exactly what the unparked event would have done:
+        a load hit (L1 hit, memory-stall cycles, retirement, ``rd``), a
+        branch (retirement; a fused head also its fusion counters), a
+        load issue (``_po``, ``_mem_issued_at``).  Each retirement takes
+        one busy cycle, and an idle speculation controller only ticks
+        its conservative-window countdown.
+        """
+        done = park.settled
+        if consumed == done:
+            return
+        shape = park.shape
+        hits, retired, blocks, fused = (
+            after - before for after, before
+            in zip(shape.totals(consumed), shape.totals(done)))
+        self.instructions += retired
+        self.stat_instructions.value += retired
+        self.stat_busy.value += retired
+        spec = self.spec
+        if spec is not None:
+            remaining = spec._conservative_remaining
+            if remaining > 0:
+                spec._conservative_remaining = \
+                    remaining - retired if remaining > retired else 0
+        self.l1.stat_hits.value += hits
+        self._stat_mem_stall.value += hits * shape.hit_latency
+        self.fused_blocks += blocks
+        self.fused_instructions += fused
+        laps, slot = divmod(consumed, shape.m)
+        self._po = park.po + laps  # one load issue per full iteration
+        self._mem_issued_at = park.issued_at + laps * shape.period
+        self.pc = shape.pcs[slot]
+        self._regfile[shape.rd] = park.word
+        self.parked_slots += consumed - done
+        park.settled = consumed
+
+    def settle(self) -> None:
+        """Bring a parked core's counters, registers and pc up to date.
+
+        A no-op unless the core is parked.  Observers that read a core
+        mid-run (the watchdog, diagnostic dumps) call this first; the
+        core stays parked.
+        """
+        park = self._park
+        if park is not None:
+            self._settle_to(park, self._parked_consumed(park))
+
+    def _spin_wake(self) -> None:
+        """Unpark: settle, then put the real entry where the live one is.
+
+        Runs before the L1 handles a message (or a node fault lands), so
+        the handler sees the exact unparked state.  The live chain entry
+        is found by identity -- relay tuples compare by value -- and
+        replaced in place, keeping its bucket position: what the
+        unparked engine would hold there is the load-hit entry, or the
+        next instruction's (a fused span's interior slot resumes as its
+        per-instruction closure, which settle accounted for).
+        """
+        park = self._park
+        consumed = self._parked_consumed(park)
+        self._settle_to(park, consumed)
+        self._park = None
+        self.l1.wake_listener = None
+        if consumed % park.shape.m == 0:
+            entry = (self._load_hit_h, (park.addr, self._po))
+        elif self.spec is None:
+            entry = self._entries[self.pc]
+        else:
+            entry = (self._step, (self.epoch,))
+        live = park.final if consumed == park.shape.stop else park.relay
+        bucket = self.sim._buckets[park.slot_time(consumed)]
+        for index in range(len(bucket)):
+            if bucket[index] is live:
+                bucket[index] = entry
+                return
+        raise SimulationError(
+            f"core {self.core_id}: parked relay chain not found")
+
+    def _spin_final(self) -> None:
+        """The chain's last entry, at the load slot after its final
+        iteration: settle everything and dispatch the load for real
+        (which parks again if it still may)."""
+        park = self._park
+        self._settle_to(park, park.shape.stop)
+        self._park = None
+        self.l1.wake_listener = None
+        handler, instr = self._decoded[self.pc]
+        handler(instr)
 
     @property
     def speculating(self) -> bool:
@@ -1327,6 +1562,112 @@ def _make_load(core: Core, instr: Instruction) -> Callable:
     return exec_load
 
 
+#: Iterations one parked relay chain covers before its final entry
+#: settles them and re-dispatches the load (which parks again).
+SPIN_CHAIN_ITERATIONS = 512
+
+
+class _SpinShape:
+    """One spin loop's iteration, for one concrete branch path.
+
+    A chain's slots repeat ``m`` kinds per iteration, starting at the
+    load hit: ``[hit, branch_1 .. branch_k, load]``, with cadence
+    ``(1, .., 1, hit_latency)`` between successive slots -- each
+    retires in one cycle, and the load's hit lands ``hit_latency``
+    after its issue.  Cached per (load, path) on the core.
+    """
+
+    __slots__ = ("rd", "hit_latency", "m", "period", "stop", "deltas",
+                 "pcs", "fused_blocks", "fused_instructions")
+
+    def __init__(self, load: int, rd: int, path: tuple, hit_latency: int):
+        k = len(path)
+        self.rd = rd
+        self.hit_latency = hit_latency
+        self.m = k + 2
+        self.period = hit_latency + k + 1
+        self.stop = SPIN_CHAIN_ITERATIONS * self.m - 1
+        self.deltas = ((1,) * (k + 1) + (hit_latency,)) * SPIN_CHAIN_ITERATIONS
+        #: core.pc while slot ``r`` of an iteration is the next to fire
+        self.pcs = (load, *(slot for slot, _ in path), load)
+        #: fusion counters of an iteration's first ``r`` slots
+        self.fused_blocks = tuple(accumulate(
+            [0, *(1 if n else 0 for _, n in path)], initial=0))
+        self.fused_instructions = tuple(accumulate(
+            [0, *(n for _, n in path)], initial=0))
+
+    def totals(self, slots: int) -> tuple:
+        """What a chain's first ``slots`` slots did: (load hits,
+        instructions retired, fused blocks, fused instructions).  Every
+        slot but the load retires one instruction."""
+        laps, r = divmod(slots, self.m)
+        return (laps + (r > 0), slots - laps,
+                laps * self.fused_blocks[-1] + self.fused_blocks[r],
+                laps * self.fused_instructions[-1]
+                + self.fused_instructions[r])
+
+
+class _Park:
+    """A parked core's live chain and what settling it needs."""
+
+    __slots__ = ("shape", "relay", "final", "issued_at", "addr", "word",
+                 "po", "settled")
+
+    def __init__(self, shape: _SpinShape, relay: tuple, final: tuple,
+                 issued_at: int, addr: int, word: int, po: int):
+        self.shape = shape
+        self.relay = relay
+        self.final = final
+        self.issued_at = issued_at  # cycle the parking load issued
+        self.addr = addr
+        self.word = word
+        self.po = po  # program-order index of the parking load
+        self.settled = 0  # chain slots charged so far
+
+    def slot_time(self, slot: int) -> int:
+        """The cycle chain slot ``slot`` fires at."""
+        shape = self.shape
+        laps, offset = divmod(slot, shape.m)
+        return (self.issued_at + shape.hit_latency + laps * shape.period
+                + offset)
+
+
+def _make_spin_load(core: Core, instr: Instruction, index: int) -> Callable:
+    """Compile one spin-loop LOAD slot (see :func:`_make_load`).
+
+    Identical issue work, then :meth:`Core._park_entry` picks what to
+    append at the hit cycle: a relay chain when the core parks, else
+    the plain load-hit entry.  Installed only on slots
+    :func:`~repro.isa.interpreter.spin_loops` names, on the fast-path
+    engine, outside CONTINUOUS speculation.
+    """
+    def exec_spin_load(instr, _regs=core.regs._regs, _rs=instr.rs,
+                       _imm=instr.imm, _core=core, _sb=core._sb_entries,
+                       _spec=core.spec, _sim=core.sim,
+                       _park=core._park_entry, _load=index,
+                       _lat=core.l1._hit_latency, _buckets=core.sim._buckets,
+                       _times=core.sim._times, _push=_heappush):
+        addr = (_regs[_rs] + _imm) & _WORD_MASK
+        po = _core._po = _core._po + 1
+        if _sb or (_spec is not None and _spec.active):
+            _core._exec_load_ordered(instr, addr, po)
+            return
+        now = _sim._now
+        _core._mem_instr = instr
+        _core._mem_issued_at = now
+        entry = _park(_load, instr, addr, po, now)
+        time = now + _lat
+        b = _buckets.get(time)
+        if b is None:
+            _buckets[time] = [entry]
+            _push(_times, time)
+        else:
+            b.append(entry)
+        _sim._pending += 1
+
+    return exec_spin_load
+
+
 #: Generated superblock source -> compiled ``_superblock`` code object.
 #: Keyed by source text, which names only parameters and so depends on
 #: the span's shape alone (see :func:`_make_superblock`).
@@ -1409,8 +1750,8 @@ def _make_superblock(core: Core, span: SuperblockSpan,
             deltas.append(instructions[k].imm)
         else:
             deltas.append(alu_latency)
-    payload = [tuple(deltas), 0, 0, None]
-    relay = (None, payload)
+    relay = Simulator.make_relay(deltas)
+    payload = relay[1]
 
     bindings = {
         "_r": core.regs._regs,

@@ -42,6 +42,8 @@ class LivelockError(SimulationError):
 def diagnostic_dump(system: "System") -> str:
     """Render the liveness-relevant machine state as indented text."""
     sim = system.sim
+    for core in system.cores:
+        core.settle()  # a parked core's counters and pc lag its relays
     lines: List[str] = [
         f"diagnostic dump at cycle {sim.now} "
         f"({sim.events_dispatched} events dispatched, "
@@ -157,6 +159,8 @@ class Watchdog:
         # genuine forward progress.  Rollbacks reset pc but never undo
         # the committed count.
         system = self.system
+        for core in system.cores:
+            core.settle()  # a parked core's counters lag its relays
         return sum(core.instructions for core in system.cores) \
             + system._halted_count
 

@@ -293,6 +293,70 @@ def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
     return result
 
 
+# ----------------------------------------------------------- spin loops
+#
+# Spin-parking support: a *spin loop* is a load followed by a short
+# branch-only continuation that can lead straight back to the load --
+# ``wait: load r, [a]; bne r, s, wait`` and its relatives (the ticket
+# lock's ``beq; jmp``, TTAS's test).  Branches write no register, so
+# while the loaded block is unchanged every iteration repeats the last
+# one exactly; the timing core (repro.cpu.core) parks such a loop on an
+# engine-level relay chain instead of dispatching its instructions.
+# Detection here is structural and conservative: it names the loads
+# that *may* spin; the core re-evaluates the actual path, with the
+# loaded value, each time it parks.
+
+#: Longest branch-only continuation (slots after the load) a spin loop
+#: may have.
+SPIN_MAX_BRANCHES = 4
+
+
+def _branch_path_returns(instructions, load: int) -> bool:
+    """True if some branch-only path of at most :data:`SPIN_MAX_BRANCHES`
+    slots leads from ``load + 1`` back to ``load``.  (A slot is a branch
+    iff it has a target, as in :func:`branch_targets`.)"""
+    n = len(instructions)
+    frontier = {load + 1}
+    for _ in range(SPIN_MAX_BRANCHES):
+        successors = set()
+        for pc in frontier:
+            instr = instructions[pc] if pc < n else None
+            if instr is None or instr.target is None:
+                continue
+            successors.add(instr.target)
+            if instr.op is not Opcode.JMP:
+                successors.add(pc + 1)
+        if load in successors:
+            return True
+        if not successors:
+            return False
+        frontier = successors
+    return False
+
+
+def spin_loops(program: Program) -> FrozenSet[int]:
+    """Every LOAD slot of ``program`` that may head a spin loop (cached).
+
+    The load must write a real register (``rd != 0``) that is not its own
+    base (``rd != rs``: the address must not change while it spins), and
+    some branch-only path of at most :data:`SPIN_MAX_BRANCHES` slots
+    must lead from the slot after it back to it.  The cache is stamped
+    with the ``instructions`` tuple exactly like :func:`superblock_spans`.
+    """
+    cached = program.__dict__.get("_spin_loops")
+    instructions = program.instructions
+    if cached is not None and cached[0] is instructions:
+        return cached[1]
+    load_op = Opcode.LOAD
+    result = frozenset(
+        index for index, instr in enumerate(instructions[:-1])
+        if instr.op is load_op and instr.rd and instr.rd != instr.rs
+        and instructions[index + 1].target is not None
+        and _branch_path_returns(instructions, index))
+    object.__setattr__(program, "_spin_loops", (instructions, result))
+    return result
+
+
 def execute_instruction(
     thread: ThreadState, memory: Dict[int, int]
 ) -> None:

@@ -263,6 +263,14 @@ class Simulator:
         relay (``idx + 1 < stop``) or ``final`` at ``now +
         deltas[idx]``.  Relays count as dispatched events, so
         :attr:`events_dispatched` matches the unfused engine exactly.
+
+        Two users build chains with it, both in :mod:`repro.cpu.core`:
+        fused superblocks (``_make_superblock``: one relay per elided
+        instruction of a span) and spin parking (``Core._park_entry``:
+        a parked spin loop's load-hit, branch and load slots for a fixed
+        number of iterations, ending in a Python ``final`` entry that
+        settles them).  Spin parking may also wake a core early; it
+        then swaps the live relay for a real entry, in place.
         """
         return (None, [tuple(deltas), 0, 0, None])
 
