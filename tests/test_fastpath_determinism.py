@@ -8,7 +8,9 @@ observable:
   Event-allocating slow path) produces the same result fingerprint as
   the default fast path;
 * **golden fingerprints** -- the quick E1/E9 grids reproduce, bit for
-  bit, the fingerprints measured on the pre-overhaul engine (committed
+  bit, the fingerprints measured on the pre-overhaul engine, and the
+  quick MEM grid, the two chaos points and a 16-core mesh stencil
+  reproduce the fingerprints pinned when they were added (all committed
   in ``tests/golden_fingerprints.json``).
 
 A fingerprint (see :func:`repro.harness.parallel.result_fingerprint`)
@@ -19,6 +21,7 @@ experiment tables.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -63,6 +66,25 @@ def _chaos_specs():
 
 
 _CHAOS_SPECS = _chaos_specs()
+
+
+def _mesh_specs():
+    """One 16-core mesh barrier-stencil point: many-core XY routing,
+    eight directory homes and barrier spinning (the spin-parking path)
+    in a run small enough for the default test pass."""
+    from repro.harness.parallel import RunSpec
+    from repro.sim.config import InterconnectConfig, SystemConfig, Topology
+    from repro.workloads.barriers import stencil
+
+    config = replace(SystemConfig(n_cores=16, n_homes=8),
+                     interconnect=InterconnectConfig(
+                         topology=Topology.MESH, mesh_hop_latency=4))
+    return [RunSpec("mesh16-stencil", config,
+                    stencil(16, phases=2, cells_per_thread=4,
+                            compute_cycles=2))]
+
+
+_MESH_SPECS = _mesh_specs()
 
 
 def _run(spec, fastpath):
@@ -148,16 +170,20 @@ def _golden():
         return json.load(handle)
 
 
+def _pinned_grids():
+    """Every grid the golden file pins: the three quick bench grids
+    (E1, E9, MEM) plus the chaos points and the mesh stencil above."""
+    grids = default_grids(quick=True)
+    grids["CHAOS"] = _CHAOS_SPECS
+    grids["MESH"] = _MESH_SPECS
+    return grids
+
+
 def _golden_params():
     golden = _golden()
-    grids = default_grids(quick=True)
     params = []
-    for grid_id, specs in grids.items():
-        expected = golden["grids"].get(grid_id)
-        if expected is None:
-            # Bench-only grid (MEM): events/sec tracking, not pinned to
-            # seed fingerprints -- covered by the determinism proof.
-            continue
+    for grid_id, specs in _pinned_grids().items():
+        expected = golden["grids"][grid_id]
         for spec in specs:
             params.append(pytest.param(spec, expected[spec.label],
                                        id=f"{grid_id}|{spec.label}"))
@@ -167,13 +193,12 @@ def _golden_params():
 def test_golden_file_covers_current_grids():
     """Renaming points in a pinned grid must regenerate the golden file.
 
-    Grids absent from the golden file (the MEM bench grid) are
-    deliberately unpinned; every pinned grid must still exist and cover
-    exactly the committed labels.
+    Every grid is pinned: the file names exactly the grids of
+    :func:`_pinned_grids`, each with exactly the committed labels.
     """
     golden = _golden()
-    grids = default_grids(quick=True)
-    assert set(golden["grids"]) <= set(grids)
+    grids = _pinned_grids()
+    assert set(golden["grids"]) == set(grids)
     for grid_id, expected in golden["grids"].items():
         assert set(expected) == {s.label for s in grids[grid_id]}
 
@@ -186,7 +211,7 @@ def test_engine_reproduces_seed_fingerprints(spec, expected):
     assert spec.config.superblocks
     result = _run(spec, fastpath=True)
     assert result_fingerprint(result) == expected, (
-        f"{spec.label}: stats diverge from the pre-overhaul engine; "
+        f"{spec.label}: stats diverge from the pinned fingerprint; "
         "if the simulated architecture intentionally changed, regenerate "
         "tests/golden_fingerprints.json (see docs/PERF.md)"
     )
