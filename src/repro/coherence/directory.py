@@ -104,9 +104,6 @@ class Directory:
         # Hot-path caches (PR 2 idiom: one attribute walk at init).
         self._schedule_fast = sim.schedule_fast
         self._directory_latency = memory_config.directory_latency
-        # Inline the schedule_fast body (calendar-bucket append) at the
-        # per-request sites when the engine really runs the fast path.
-        self._fp = sim.fastpath
 
         # Table dispatch, keyed by integer mtype codes.
         self._receive_handlers = {
@@ -208,26 +205,22 @@ class Directory:
             self.stat_queued.value += 1
             self._pending.setdefault(msg.addr, deque()).append(msg)
             return
-        # Schedule the type's process handler itself (skipping the
-        # _process dispatch hop) and count the request here -- every
-        # request passes through exactly one of the two schedule sites
-        # (here or the _complete queue drain), so the total is the same.
+        # Schedule the type's process handler itself and count the
+        # request here -- every request passes through exactly one of
+        # the two schedule sites (here or the _complete queue drain).
+        # Inlined schedule_fast (a calendar-bucket append):
         self.stat_requests.value += 1
-        if self._fp:
-            sim = self.sim
-            time = sim._now + self._directory_latency
-            buckets = sim._buckets
-            bucket = buckets.get(time)
-            entry = (self._process_handlers[msg.mtype], (msg,))
-            if bucket is None:
-                buckets[time] = [entry]
-                _heappush(sim._times, time)
-            else:
-                bucket.append(entry)
-            sim._pending += 1
+        sim = self.sim
+        time = sim._now + self._directory_latency
+        buckets = sim._buckets
+        bucket = buckets.get(time)
+        entry = (self._process_handlers[msg.mtype], (msg,))
+        if bucket is None:
+            buckets[time] = [entry]
+            _heappush(sim._times, time)
         else:
-            self._schedule_fast(self._directory_latency,
-                                self._process_handlers[msg.mtype], msg)
+            bucket.append(entry)
+        sim._pending += 1
         # Mark busy immediately so same-cycle requests queue behind us.
         self._active[msg.addr] = _Transaction(msg, acks_needed=0, kind="pending")
 
@@ -308,10 +301,6 @@ class Directory:
                               attempt=orig.attempt + 1))
 
     # ------------------------------------------------------- transactions
-
-    def _process(self, msg: Message) -> None:
-        self.stat_requests.value += 1
-        self._process_handlers[msg.mtype](msg)
 
     def _process_get_s(self, msg: Message) -> None:
         entry = self._entry(msg.addr)
@@ -444,21 +433,18 @@ class Directory:
         block's transaction slot.  Completion must not precede injection:
         a queued transaction's probes would otherwise overtake this grant
         on the network."""
-        latency = self._fetch_latency(addr)
-        if self._fp:
-            sim = self.sim
-            time = sim._now + latency
-            buckets = sim._buckets
-            bucket = buckets.get(time)
-            entry = (self._send_data_now, (dst, mtype, addr))
-            if bucket is None:
-                buckets[time] = [entry]
-                _heappush(sim._times, time)
-            else:
-                bucket.append(entry)
-            sim._pending += 1
+        # Inlined schedule_fast (a calendar-bucket append):
+        sim = self.sim
+        time = sim._now + self._fetch_latency(addr)
+        buckets = sim._buckets
+        bucket = buckets.get(time)
+        entry = (self._send_data_now, (dst, mtype, addr))
+        if bucket is None:
+            buckets[time] = [entry]
+            _heappush(sim._times, time)
         else:
-            self._schedule_fast(latency, self._send_data_now, dst, mtype, addr)
+            bucket.append(entry)
+        sim._pending += 1
 
     def _send_data_now(self, dst: int, mtype: MessageType, addr: int) -> None:
         data = list(self.backing_data(addr))

@@ -235,8 +235,7 @@ class L1Cache:
         self._retry_plan = None
         self._seen_uids: Optional[set] = None
         # The core-facing access methods inline the schedule_fast body
-        # (a calendar-bucket append); on the compat engine they fall
-        # back to variants that call the Event-allocating shadow.
+        # (a calendar-bucket append) of this entry handler.
         self._start_h = self._start
         # Specialised non-speculative read path: the owning core (the
         # L1 is private, 1:1) installs its load-completion callback here
@@ -245,10 +244,6 @@ class L1Cache:
         # call on the dominant event class (see _start_read).
         self._read_callback: Optional[Callable[[int], None]] = None
         self._start_read_h = self._start_read
-        if not sim.fastpath:
-            self.read = self._read_compat        # type: ignore[method-assign]
-            self.write = self._write_compat      # type: ignore[method-assign]
-            self.rmw = self._rmw_compat          # type: ignore[method-assign]
 
     # ------------------------------------------------------------ core API
 
@@ -303,29 +298,6 @@ class L1Cache:
         else:
             bucket.append((self._start_h, (req,)))
         sim._pending += 1
-
-    # Compat-engine variants (fastpath=False): route through the
-    # (shadowed, Event-allocating) schedule_fast so the equivalence
-    # proof exercises the slow path end to end.
-
-    def _read_compat(self, addr: int, callback: Callable[[int], None],
-                     guard: Optional[Guard] = None, speculative: bool = False,
-                     po: int = -1) -> None:
-        req = _Request(_Kind.READ, addr, None, None, callback, guard, speculative, po)
-        self._schedule_fast(self._hit_latency, self._start, req)
-
-    def _write_compat(self, addr: int, value: int, callback: Callable[[], None],
-                      guard: Optional[Guard] = None, speculative: bool = False,
-                      po: int = -1) -> None:
-        req = _Request(_Kind.WRITE, addr, value, None, callback, guard, speculative, po)
-        self._schedule_fast(self._hit_latency, self._start, req)
-
-    def _rmw_compat(self, addr: int, modify: ModifyFn,
-                    callback: Callable[[int], None],
-                    guard: Optional[Guard] = None, speculative: bool = False,
-                    po: int = -1) -> None:
-        req = _Request(_Kind.RMW, addr, None, modify, callback, guard, speculative, po)
-        self._schedule_fast(self._hit_latency, self._start, req)
 
     def prefetch_write(self, addr: int) -> None:
         """Begin acquiring write permission for ``addr`` without writing.

@@ -215,9 +215,9 @@ class Core:
             _make_load_hit(self) if sim.fastpath else None)
         self._decoded: List[Tuple[Callable, Instruction]] = \
             self._decode_program(program)
-        # Trace compilation (superblock fusion): only on the real
-        # fast-path engine (the compat engine stays per-instruction so
-        # the determinism proof has a reference), and never in
+        # Trace compilation (superblock fusion): only with fastpath=True
+        # (the reference build stays per-instruction so the
+        # determinism proof has a reference), and never in
         # CONTINUOUS speculation -- that mode is active at essentially
         # every instruction boundary, so fusion would always fall back
         # and only add a guard to the hot path.  Coverage counters are
@@ -248,17 +248,8 @@ class Core:
             # No speculation: the epoch never advances and a halted core
             # schedules nothing, so the _step trampoline's guards are
             # dead weight.  Retirement schedules the next instruction's
-            # handler directly (see _finish_direct and _make_alu).  On
-            # the real fast-path engine the schedule itself is inlined
-            # too (a bucket append instead of a schedule_fast call).
-            self._finish = (self._finish_direct_fast if sim.fastpath
-                            else self._finish_direct)  # type: ignore[method-assign]
-        elif sim.fastpath:
-            # Speculation-capable core on the real fast-path engine:
-            # retirement still goes through the _step trampoline (epoch
-            # guard, commit housekeeping), but the schedule itself is a
-            # plain calendar-bucket append.
-            self._finish = self._finish_fast  # type: ignore[method-assign]
+            # handler directly (see _finish_direct and _make_alu).
+            self._finish = self._finish_direct  # type: ignore[method-assign]
 
     # -------------------------------------------------------------- decode
 
@@ -649,18 +640,10 @@ class Core:
         handler(instr)
 
     def _finish(self, busy_cycles: int, next_pc: int) -> None:
-        """Complete the current instruction and schedule the next."""
-        self.stat_busy.value += busy_cycles
-        self.stat_instructions.value += 1
-        self.instructions += 1
-        if self._spec_note is not None:
-            self._spec_note()
-        self.pc = next_pc
-        self._schedule_fast(busy_cycles, self._step, self.epoch)
+        """Complete the current instruction and schedule the next.
 
-    def _finish_fast(self, busy_cycles: int, next_pc: int) -> None:
-        """:meth:`_finish` with the schedule_fast body inlined (real
-        fast-path engine only; see Simulator.fastpath)."""
+        The schedule_fast body is inlined: a plain calendar-bucket
+        append of the _step trampoline entry."""
         self.stat_busy.value += busy_cycles
         self.stat_instructions.value += 1
         self.instructions += 1
@@ -679,20 +662,10 @@ class Core:
         sim._pending += 1
 
     def _finish_direct(self, busy_cycles: int, next_pc: int) -> None:
-        """_finish for non-speculating cores: schedule the next
-        instruction's handler itself, skipping the _step trampoline
-        (its epoch/halt/speculation guards can never fire here)."""
-        self.stat_busy.value += busy_cycles
-        self.stat_instructions.value += 1
-        self.instructions += 1
-        self.pc = next_pc
-        handler, instr = self._decoded[next_pc]
-        self._schedule_fast(busy_cycles, handler, instr)
-
-    def _finish_direct_fast(self, busy_cycles: int, next_pc: int) -> None:
-        """:meth:`_finish_direct` with the schedule_fast body inlined --
-        used only on the real fast-path engine (``sim.fastpath``), where
-        the schedule is a plain calendar-bucket append."""
+        """_finish for non-speculating cores: append the next
+        instruction's prebuilt entry itself, skipping the _step
+        trampoline (its epoch/halt/speculation guards can never fire
+        here)."""
         self.stat_busy.value += busy_cycles
         self.stat_instructions.value += 1
         self.instructions += 1
@@ -886,7 +859,7 @@ class Core:
 
     def _load_done_fast(self, value: int) -> None:
         """:meth:`_load_done` for non-speculating fast-path cores, with
-        the ``_finish_direct_fast`` body inlined (one fewer call on the
+        the ``_finish_direct`` body inlined (one fewer call on the
         dominant completion path; byte-identical effects)."""
         instr = self._mem_instr
         if instr.rd:  # r0 stays hardwired to zero
@@ -1116,17 +1089,14 @@ class Core:
 
     def _finish_rollback(self, checkpoint: Checkpoint, started_at: int) -> None:
         self.stat_stall[StallCause.ROLLBACK].increment(self.sim.now - started_at)
-        if checkpoint.regs is None:
-            # Replay the undo log newest-first.  A register written twice
-            # is journaled twice; the reverse replay applies its oldest
-            # (pre-checkpoint) value last.
-            regs = self._regfile
-            for reg, old in reversed(self._reg_undo):
-                regs[reg] = old
-            del self._reg_undo[:]
-        else:
-            # Full-snapshot checkpoint (kept for direct constructions).
-            self.regs.restore(checkpoint.regs)
+        # The checkpoint is incremental (see _enter_speculation): replay
+        # the undo log newest-first.  A register written twice is
+        # journaled twice; the reverse replay applies its oldest
+        # (pre-checkpoint) value last.
+        regs = self._regfile
+        for reg, old in reversed(self._reg_undo):
+            regs[reg] = old
+        del self._reg_undo[:]
         self.pc = checkpoint.pc
         self._rolling_back = False
         self._maybe_drain()  # non-speculative entries keep draining
@@ -1149,12 +1119,13 @@ def _make_alu(core: Core, instr: Instruction, index: int,
     The evaluators in ``semantics._ALU_EVAL`` produce already-masked
     words given masked inputs, and slot 0 of the register list is never
     written, so the closure can index the list directly -- no bounds
-    check, no re-mask, no method call.  ``RegisterFile.restore`` copies
-    in place, keeping the captured list valid across rollbacks.
+    check, no re-mask, no method call.  Rollback restores registers
+    in place from the undo journal, keeping the captured list valid.
 
     The closure belongs to program slot ``index``, so the fall-through
     pc is a decode-time constant, and :meth:`Core._finish` is inlined
-    bodily -- retiring an ALU instruction is a single Python call.
+    bodily, down to the calendar-bucket append -- retiring an ALU
+    instruction is a single Python call.
 
     ``decoded`` is the (still-filling) program decode list; the
     non-speculating variants capture it and schedule the *next
@@ -1166,17 +1137,12 @@ def _make_alu(core: Core, instr: Instruction, index: int,
     latency = instr.imm if instr.op is Opcode.EXEC else core._alu_latency
     regs = core.regs._regs
     if core.spec is None:
-        # The schedule_fast body is inlined as well when the engine
-        # really runs the allocation-free path (a calendar-bucket append
-        # -- see Simulator.fastpath); the compat engine keeps the call
-        # so its Event-allocating shadow is exercised.
         if instr.rd:
             def exec_alu(instr, _regs=regs, _eval=evaluate, _rd=instr.rd,
                          _rs=instr.rs, _rt=instr.rt, _lat=latency,
                          _next=index + 1, _busy=core.stat_busy,
-                         _icnt=core.stat_instructions,
-                         _sched=core._schedule_fast, _dec=decoded,
-                         _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                         _icnt=core.stat_instructions, _dec=decoded,
+                         _core=core, _sim=core.sim,
                          _buckets=core.sim._buckets, _times=core.sim._times,
                          _push=_heappush):
                 _regs[_rd] = _eval(instr, _regs[_rs], _regs[_rt])
@@ -1186,24 +1152,20 @@ def _make_alu(core: Core, instr: Instruction, index: int,
                 _core.instructions += 1
                 _core.pc = _next
                 h, ins = _dec[_next]
-                if _fp:
-                    time = _sim._now + _lat
-                    b = _buckets.get(time)
-                    if b is None:
-                        _buckets[time] = [(h, (ins,))]
-                        _push(_times, time)
-                    else:
-                        b.append((h, (ins,)))
-                    _sim._pending += 1
+                time = _sim._now + _lat
+                b = _buckets.get(time)
+                if b is None:
+                    _buckets[time] = [(h, (ins,))]
+                    _push(_times, time)
                 else:
-                    _sched(_lat, h, ins)
+                    b.append((h, (ins,)))
+                _sim._pending += 1
         else:
             def exec_alu(instr, _regs=regs, _eval=evaluate,
                          _rs=instr.rs, _rt=instr.rt, _lat=latency,
                          _next=index + 1, _busy=core.stat_busy,
-                         _icnt=core.stat_instructions,
-                         _sched=core._schedule_fast, _dec=decoded,
-                         _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                         _icnt=core.stat_instructions, _dec=decoded,
+                         _core=core, _sim=core.sim,
                          _buckets=core.sim._buckets, _times=core.sim._times,
                          _push=_heappush):
                 _eval(instr, _regs[_rs], _regs[_rt])  # result discarded (r0)
@@ -1212,28 +1174,24 @@ def _make_alu(core: Core, instr: Instruction, index: int,
                 _core.instructions += 1
                 _core.pc = _next
                 h, ins = _dec[_next]
-                if _fp:
-                    time = _sim._now + _lat
-                    b = _buckets.get(time)
-                    if b is None:
-                        _buckets[time] = [(h, (ins,))]
-                        _push(_times, time)
-                    else:
-                        b.append((h, (ins,)))
-                    _sim._pending += 1
+                time = _sim._now + _lat
+                b = _buckets.get(time)
+                if b is None:
+                    _buckets[time] = [(h, (ins,))]
+                    _push(_times, time)
                 else:
-                    _sched(_lat, h, ins)
+                    b.append((h, (ins,)))
+                _sim._pending += 1
         return exec_alu
-    if instr.rd and core.spec is not None:
+    if instr.rd:
         # Speculation-capable core: journal the overwritten value while
         # an episode is active so rollback can undo it incrementally.
         def exec_alu(instr, _regs=regs, _eval=evaluate, _rd=instr.rd,
                      _rs=instr.rs, _rt=instr.rt, _lat=latency,
                      _next=index + 1, _busy=core.stat_busy,
                      _icnt=core.stat_instructions, _note=core._spec_note,
-                     _sched=core._schedule_fast, _step=core._step,
-                     _core=core, _spec=core.spec, _undo=core._reg_undo,
-                     _sim=core.sim, _fp=core.sim.fastpath,
+                     _step=core._step, _core=core, _spec=core.spec,
+                     _undo=core._reg_undo, _sim=core.sim,
                      _buckets=core.sim._buckets, _times=core.sim._times,
                      _push=_heappush):
             if _spec.active:
@@ -1246,40 +1204,20 @@ def _make_alu(core: Core, instr: Instruction, index: int,
             if _note is not None:
                 _note()
             _core.pc = _next
-            if _fp:
-                time = _sim._now + _lat
-                b = _buckets.get(time)
-                if b is None:
-                    _buckets[time] = [(_step, (_core.epoch,))]
-                    _push(_times, time)
-                else:
-                    b.append((_step, (_core.epoch,)))
-                _sim._pending += 1
+            time = _sim._now + _lat
+            b = _buckets.get(time)
+            if b is None:
+                _buckets[time] = [(_step, (_core.epoch,))]
+                _push(_times, time)
             else:
-                _sched(_lat, _step, _core.epoch)
-    elif instr.rd:
-        def exec_alu(instr, _regs=regs, _eval=evaluate, _rd=instr.rd,
-                     _rs=instr.rs, _rt=instr.rt, _lat=latency,
-                     _next=index + 1, _busy=core.stat_busy,
-                     _icnt=core.stat_instructions, _note=core._spec_note,
-                     _sched=core._schedule_fast, _step=core._step,
-                     _core=core):
-            _regs[_rd] = _eval(instr, _regs[_rs], _regs[_rt])
-            # Inlined _finish(_lat, _next):
-            _busy.value += _lat
-            _icnt.value += 1
-            _core.instructions += 1
-            if _note is not None:
-                _note()
-            _core.pc = _next
-            _sched(_lat, _step, _core.epoch)
+                b.append((_step, (_core.epoch,)))
+            _sim._pending += 1
     else:
         def exec_alu(instr, _regs=regs, _eval=evaluate,
                      _rs=instr.rs, _rt=instr.rt, _lat=latency,
                      _next=index + 1, _busy=core.stat_busy,
                      _icnt=core.stat_instructions, _note=core._spec_note,
-                     _sched=core._schedule_fast, _step=core._step,
-                     _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                     _step=core._step, _core=core, _sim=core.sim,
                      _buckets=core.sim._buckets, _times=core.sim._times,
                      _push=_heappush):
             _eval(instr, _regs[_rs], _regs[_rt])  # result discarded (r0)
@@ -1289,17 +1227,14 @@ def _make_alu(core: Core, instr: Instruction, index: int,
             if _note is not None:
                 _note()
             _core.pc = _next
-            if _fp:
-                time = _sim._now + _lat
-                b = _buckets.get(time)
-                if b is None:
-                    _buckets[time] = [(_step, (_core.epoch,))]
-                    _push(_times, time)
-                else:
-                    b.append((_step, (_core.epoch,)))
-                _sim._pending += 1
+            time = _sim._now + _lat
+            b = _buckets.get(time)
+            if b is None:
+                _buckets[time] = [(_step, (_core.epoch,))]
+                _push(_times, time)
             else:
-                _sched(_lat, _step, _core.epoch)
+                b.append((_step, (_core.epoch,)))
+            _sim._pending += 1
     return exec_alu
 
 
@@ -1311,9 +1246,8 @@ def _make_branch(core: Core, instr: Instruction, index: int,
         def exec_branch(instr, _regs=core.regs._regs, _eval=evaluate,
                         _target=instr.target, _rs=instr.rs, _rt=instr.rt,
                         _next=index + 1, _busy=core.stat_busy,
-                        _icnt=core.stat_instructions,
-                        _sched=core._schedule_fast, _dec=decoded,
-                        _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                        _icnt=core.stat_instructions, _dec=decoded,
+                        _core=core, _sim=core.sim,
                         _buckets=core.sim._buckets, _times=core.sim._times,
                         _push=_heappush):
             # Inlined _finish_direct(1, taken ? target : fall-through):
@@ -1324,25 +1258,21 @@ def _make_branch(core: Core, instr: Instruction, index: int,
                   else _next)
             _core.pc = pc
             h, ins = _dec[pc]
-            if _fp:
-                time = _sim._now + 1
-                b = _buckets.get(time)
-                if b is None:
-                    _buckets[time] = [(h, (ins,))]
-                    _push(_times, time)
-                else:
-                    b.append((h, (ins,)))
-                _sim._pending += 1
+            time = _sim._now + 1
+            b = _buckets.get(time)
+            if b is None:
+                _buckets[time] = [(h, (ins,))]
+                _push(_times, time)
             else:
-                _sched(1, h, ins)
+                b.append((h, (ins,)))
+            _sim._pending += 1
         return exec_branch
 
     def exec_branch(instr, _regs=core.regs._regs, _eval=evaluate,
                     _target=instr.target, _rs=instr.rs, _rt=instr.rt,
                     _next=index + 1, _busy=core.stat_busy,
                     _icnt=core.stat_instructions, _note=core._spec_note,
-                    _sched=core._schedule_fast, _step=core._step,
-                    _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                    _step=core._step, _core=core, _sim=core.sim,
                     _buckets=core.sim._buckets, _times=core.sim._times,
                     _push=_heappush):
         # Inlined _finish(1, taken ? target : fall-through):
@@ -1353,17 +1283,14 @@ def _make_branch(core: Core, instr: Instruction, index: int,
             _note()
         _core.pc = (_target if _eval(instr, _regs[_rs], _regs[_rt])
                     else _next)
-        if _fp:
-            time = _sim._now + 1
-            b = _buckets.get(time)
-            if b is None:
-                _buckets[time] = [(_step, (_core.epoch,))]
-                _push(_times, time)
-            else:
-                b.append((_step, (_core.epoch,)))
-            _sim._pending += 1
+        time = _sim._now + 1
+        b = _buckets.get(time)
+        if b is None:
+            _buckets[time] = [(_step, (_core.epoch,))]
+            _push(_times, time)
         else:
-            _sched(1, _step, _core.epoch)
+            b.append((_step, (_core.epoch,)))
+        _sim._pending += 1
     return exec_branch
 
 
@@ -1390,7 +1317,7 @@ def _make_load_hit(core: Core) -> Callable:
     holds through completion, the epoch guard could never fire, the
     speculative flag evaluates False, and no register journaling is
     due.  Their completion keeps the _step trampoline (commit
-    housekeeping runs at the next boundary, as _finish_fast would).
+    housekeeping runs at the next boundary, as _finish would).
     """
     l1 = core.l1
     array = l1.array
@@ -1467,7 +1394,7 @@ def _make_load_hit(core: Core) -> Callable:
             _mru[index] = block_addr
         _hits.value += 1
         value = block.data[(addr & _wmask) >> 3]
-        # Inlined _load_done(value) + _finish_fast(1, pc + 1); the
+        # Inlined _load_done(value) + _finish(1, pc + 1); the
         # episode is inactive (see above), so journaling is skipped.
         rd = _core._mem_instr.rd
         if rd:  # r0 stays hardwired to zero
@@ -1492,8 +1419,8 @@ def _make_load_hit(core: Core) -> Callable:
 
 
 def _make_load(core: Core, instr: Instruction) -> Callable:
-    """Compile one LOAD slot to a closure (non-speculating cores on the
-    real fast-path engine only).
+    """Compile one LOAD slot to a closure (``fastpath=True`` builds
+    only; the reference build keeps the generic ``_exec_load``).
 
     The common case -- empty store buffer -- skips
     _exec_load/_exec_load_ordered/_issue_load/L1.read entirely: address
@@ -1719,8 +1646,7 @@ def _make_superblock(core: Core, span: SuperblockSpan,
     conservative-window countdown, batch-decremented by the executed
     count -- arithmetically identical to N ``note_instruction`` calls.
 
-    Only built for the real fast-path engine (callers guarantee it), so
-    every schedule is a raw calendar-bucket append.
+    Only built with ``fastpath=True`` (callers guarantee it).
     """
     assert core.sim.fastpath, "superblocks require the fast-path engine"
     instructions = core.program.instructions

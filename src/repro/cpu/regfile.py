@@ -31,13 +31,6 @@ class RegisterFile:
         """A copy of all register values (for checkpointing)."""
         return list(self._regs)
 
-    def restore(self, snapshot: List[int]) -> None:
-        # In place: the core's decoded closures hold a reference to the
-        # underlying list, which must stay valid across rollbacks.
-        if len(snapshot) != REG_COUNT:
-            raise ValueError("snapshot has wrong length")
-        self._regs[:] = snapshot
-
     def __repr__(self) -> str:
         nonzero = {i: v for i, v in enumerate(self._regs) if v}
         return f"<RegisterFile {nonzero}>"

@@ -59,18 +59,11 @@ class Mesh:
 
         # Hot-path wiring, mirroring the crossbar: a message pays one
         # scheduling round-trip *per hop*, so ``send``/``_traverse``
-        # inline the calendar-bucket append on the fast engine.  The
-        # compat engine (fastpath=False) swaps in the variants that
-        # route through the (shadowed, Event-allocating)
-        # schedule_fast/schedule_fast_at -- the determinism suite proves
-        # both paths byte-identical.  ``_traverse_h`` is the bound
-        # method each hop reschedules: late-bound through ``self`` so a
-        # subclass (the shard-boundary mesh) slots in transparently.
-        if sim.fastpath:
-            self._traverse_h = self._traverse
-        else:
-            self.send = self._send_compat  # type: ignore[method-assign]
-            self._traverse_h = self._traverse_compat
+        # inline the calendar-bucket append.  ``_traverse_h`` is the
+        # bound method each hop reschedules: late-bound through
+        # ``self`` so a subclass (the shard-boundary mesh) slots in
+        # transparently.
+        self._traverse_h = self._traverse
 
     def _place(self, n_nodes: int) -> None:
         """Row-major placement, with the last node (the directory) swapped
@@ -161,36 +154,6 @@ class Mesh:
         else:
             bucket.append(entry)
         sim._pending += 1
-
-    def _send_compat(self, src: int, dst: int, msg: Any) -> None:
-        """``send`` for the compat engine: every hop goes through the
-        Event-allocating slow path."""
-        if src not in self._endpoints:
-            raise KeyError(f"unknown source node {src}")
-        if dst not in self._endpoints:
-            raise KeyError(f"unknown destination node {dst}")
-        path = self.route(src, dst)
-        self.stat_messages.increment()
-        self.stat_hops.add(len(path) - 1)
-        self.inflight += 1
-        if len(path) == 1:
-            self.sim.schedule_fast(self.hop_latency, self._deliver, dst, msg)
-            return
-        self._traverse_compat(path, 0, dst, msg, self.sim.now)
-
-    def _traverse_compat(self, path, index: int, dst: int, msg: Any,
-                         arrived_at: int) -> None:
-        if index == len(path) - 1:
-            self._deliver(dst, msg)
-            return
-        link = (path[index], path[index + 1])
-        free_at = self._link_free_at.get(link, 0)
-        depart = max(arrived_at, free_at)
-        self._link_free_at[link] = depart + self.link_issue_interval
-        self.stat_link_wait.add(depart - arrived_at)
-        arrive = depart + self.hop_latency
-        self.sim.schedule_fast_at(arrive, self._traverse_compat, path,
-                                  index + 1, dst, msg, arrive)
 
     def _deliver(self, dst: int, msg: Any) -> None:
         self.inflight -= 1

@@ -229,8 +229,8 @@ class SystemConfig:
     # superblock closures that update the register file and pc in one
     # event, touching the scheduler only at memory/ordering boundaries
     # (see docs/PERF.md).  Semantically invisible -- the golden and
-    # fastpath-vs-compat determinism suites prove it -- and only active
-    # on the real fast-path engine: the compat engine (fastpath=False)
+    # fastpath-vs-reference determinism suites prove it -- and only
+    # active with fastpath=True: the reference build (fastpath=False)
     # forces it off so the equivalence proof keeps a per-instruction
     # reference to compare against.
     superblocks: bool = True

@@ -97,10 +97,11 @@ class Simulator:
         sim.run()           # dispatch until the event queue is empty
         print(sim.now)      # simulated cycles elapsed
 
-    ``fastpath=False`` routes :meth:`schedule_fast` through the
-    Event-allocating slow path; the dispatch order is identical either
-    way (the determinism test suite runs every grid point both ways),
-    it only exists to prove that equivalence.
+    The engine schedules one way whatever ``fastpath`` says.  The flag
+    is read by the components at construction: ``fastpath=False``
+    builds the un-specialised reference handlers (no fused load hits,
+    no superblocks, no spin parking), which the determinism suite runs
+    against the specialised ones.
     """
 
     def __init__(self, fastpath: bool = True) -> None:
@@ -115,17 +116,10 @@ class Simulator:
         self._pending = 0
         self._cancelled = 0
         self._drain_pending = False
-        #: True when schedule_fast really is the allocation-free path.
-        #: Hot components (core closures, L1, crossbar) consult this once
-        #: at construction/decode time and inline the bucket append
-        #: directly; when False they fall back to calling the (shadowed,
-        #: Event-allocating) schedule_fast so the compat proof still
-        #: exercises the slow path end to end.
+        #: False builds the reference machine: cores read this once at
+        #: construction and skip every specialised handler (fused load
+        #: hit, request-free L1 read, superblocks, spin parking).
         self.fastpath = fastpath
-        if not fastpath:
-            # Shadow the fast-path methods with Event-allocating wrappers.
-            self.schedule_fast = self._schedule_fast_compat   # type: ignore[method-assign]
-            self.schedule_fast_at = self.schedule_at          # type: ignore[method-assign]
 
     @property
     def now(self) -> int:
@@ -211,35 +205,11 @@ class Simulator:
             bucket.append((fn, args))
         self._pending += 1
 
-    def _schedule_fast_compat(self, delay: int, fn: Callable[..., Any],
-                              *args: Any) -> None:
-        """schedule_fast body used when ``fastpath=False``: allocates a
-        real Event so the slow path is exercised end to end."""
-        self.schedule(delay, fn, *args)
-
-    def advance_batched(self, elided: int) -> None:
-        """Credit ``elided`` logical events executed inside one dispatch.
-
-        Part of the batched-advance contract for trace-compiled
-        execution (see :meth:`make_relay`): a caller that genuinely
-        elides scheduler dispatches while executing a batch must credit
-        them here so :attr:`events_dispatched` keeps counting *logical*
-        events.  Superblock relays do not need it -- each relay entry IS
-        a dispatched event, so the count matches the per-instruction
-        engine with no correction -- but external batchers (and tests)
-        use this as the documented entry point.
-
-        The ``max_events`` watchdog budget intentionally counts only
-        *dispatched* events: it bounds Python work per run, and credits
-        cost none.
-        """
-        self._events_dispatched += elided
-
     @staticmethod
     def make_relay(deltas) -> tuple:
         """Build a reusable relay entry for a superblock's event cadence.
 
-        The batched-advance hook for trace-compiled execution.  A fused
+        The hook for trace-compiled execution.  A fused
         superblock executes all of its instructions' *work* (register
         writes, pc, stats) in its head event, but it must not collapse
         the span's events into one dispatch: every bucket append in this

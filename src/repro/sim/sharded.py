@@ -152,11 +152,8 @@ class _ShardCrossbar(Crossbar):
         self._me = me
         self._outbox = outbox
         self._marks = marks
-        # Base __init__ may have installed the compat send as an
-        # instance attribute; capture whichever local variant applies,
-        # then interpose the boundary check in front of it.
-        self._local_send = self._send_compat if not sim.fastpath \
-            else Crossbar.send.__get__(self)
+        # Interpose the boundary check in front of the local send.
+        self._local_send = super().send
         self.send = self._boundary_send  # type: ignore[method-assign]
 
     def _boundary_send(self, src: int, dst: int, msg: Any) -> None:
@@ -210,11 +207,6 @@ class _ShardMesh(Mesh):
         for y in range(self.height):
             for x in range(self.width):
                 self._tile_owner.setdefault((x, y), 0)
-        # The boundary-aware traverse replaces both engine variants
-        # (it schedules through sim.schedule_fast_at, which the compat
-        # engine shadows, so both modes stay covered).
-        self._traverse_h = self._traverse
-        self._traverse_compat = self._traverse  # type: ignore[method-assign]
 
     def _traverse(self, path, index: int, dst: int, msg: Any,
                   arrived_at: int) -> None:

@@ -197,9 +197,10 @@ class System:
                 f"need exactly {config.n_cores} programs, got {len(programs)}"
             )
         self.config = config
-        # fastpath=False routes every event through the Event-allocating
-        # slow path; results are bit-identical (the determinism suite
-        # proves it), it exists only for that proof.
+        # fastpath=False builds the reference machine: generic core and
+        # L1 handlers, no fused load hits, superblocks or spin parking.
+        # Results are bit-identical (the determinism suite proves it);
+        # it exists to check those specialisations.
         self.sim = Simulator(fastpath=fastpath)
         self.stats = StatsRegistry()
         if config.interconnect.topology is Topology.MESH:

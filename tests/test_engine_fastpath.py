@@ -2,13 +2,15 @@
 
 The bucketed engine has two scheduling paths (Event-allocating and the
 bare ``(fn, args)`` fast path) that must share one dispatch order, plus
-automatic draining of cancelled events.  These tests pin both contracts;
-docs/PERF.md spells out the ordering invariant they encode.
+automatic draining of cancelled events.  These tests pin both contracts
+by example; tests/test_engine_model.py checks them against a list model
+over random scripts, and docs/PERF.md spells out the ordering invariant
+they encode.
 """
 
 import pytest
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 def test_fast_events_fire_in_time_order():
@@ -101,20 +103,6 @@ def test_watchdog_counts_fast_events():
     sim.schedule_fast(0, reschedule)
     with pytest.raises(SimulationError, match="watchdog"):
         sim.run(max_events=100)
-
-
-def test_fastpath_false_routes_through_slow_path():
-    """``fastpath=False`` allocates real Events but keeps dispatch order."""
-    sim = Simulator(fastpath=False)
-    order = []
-    sim.schedule(5, order.append, 0)
-    sim.schedule_fast(5, order.append, 1)
-    sim.schedule_fast_at(5, order.append, 2)
-    # Every pending entry is a cancellable Event on this path.
-    assert all(entry.__class__ is Event
-               for bucket in sim._buckets.values() for entry in bucket)
-    sim.run()
-    assert order == [0, 1, 2]
 
 
 # ------------------------------------------------------- auto-housekeeping

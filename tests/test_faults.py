@@ -355,3 +355,62 @@ def test_fault_free_stats_namespace_untouched():
                    or ".nacks_received" in name or ".retries" in name
                    or ".dups_suppressed" in name
                    for name in clean.stats.snapshot())
+
+
+def test_miss_waits_for_dropped_writeback_to_land():
+    """A miss must not overtake its own dropped, not-yet-retried PUT_M.
+
+    Per-(src, dst) FIFO normally puts a writeback ahead of a later GET
+    for the same block; a dropped PUT_M waits out a NACK and a backoff,
+    so a GET issued meanwhile would reach a directory that still records
+    this L1 as the dirty owner.  The hardened L1 parks the miss in
+    ``_wb_blocked`` and replays it on the PUT_ACK.
+    """
+    from dataclasses import replace
+
+    from repro.coherence.cache import CacheState
+    from repro.coherence.directory import DirState
+
+    a, c, b = 0x0, 0x80, 0x100   # one set of a 2-set, 2-way L1
+    config = replace(small_config(1),
+                     l1=replace(small_config(1).l1, size_bytes=256, assoc=2))
+    asm = Assembler("faults.idle")
+    asm.halt()
+    # The plan drops the first droppable send (GET_M(a), recovered by
+    # its retry); it is re-armed below for the PUT_M evicting a.
+    system = System(config, [asm.build()],
+                    fault_plan=FaultPlan(drop_first_n=1))
+    sim, l1, injector = system.sim, system.l1s[0], system.net
+    dropped = []
+    injector_drop = injector._drop
+    injector._drop = lambda src, dst, msg: (
+        dropped.append(msg.mtype), injector_drop(src, dst, msg))
+
+    l1.write(a, 7, lambda: None)
+    sim.run()
+    l1.read(c, lambda value: None)
+    sim.run()
+    injector._forced_drops = 1
+    l1.write(b, 9, lambda: None)          # evicts dirty a (LRU)
+    while a not in l1._wb:
+        assert sim.step()
+    assert dropped == [MessageType.GET_M, MessageType.PUT_M]
+    got = []
+    l1.read(a, got.append)
+    while a not in l1._wb_blocked:
+        assert sim.step()
+    retries = l1.stat_retries.value       # the PUT_M retry is not out yet
+    assert a in l1._wb and not got
+    sim.run()
+
+    assert got == [7]
+    assert l1.stat_retries.value == retries + 1
+    assert not l1._wb_blocked and a not in l1._wb
+    block = l1.array.lookup(a, touch=False)
+    assert block is not None and block.state is CacheState.EXCLUSIVE
+    home = system.directory
+    assert home.entry_state(a) is DirState.EXCLUSIVE
+    assert home.owner_of(a) == 0
+    assert home.peek_word(a) == 7         # the retried PUT_M landed first
+    assert system.read_word(b) == 9
+    system.check_swmr()

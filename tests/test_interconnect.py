@@ -104,6 +104,24 @@ def test_message_count_stat():
     assert stats.value == 1
 
 
+def test_injection_queue_accumulator_matches_add():
+    """``send`` inlines ``Accumulator.add`` for the injection-queue
+    delay; its total, count, minimum and maximum must match what
+    ``add`` would have recorded (the result fingerprint hashes only the
+    total, so nothing else checks the extrema)."""
+    sim, xbar = make_xbar(link_latency=2, port_issue_interval=3)
+    for node in range(3):
+        xbar.attach(node, Sink())
+    xbar.send(0, 1, "a")          # waits 0
+    xbar.send(0, 1, "b")          # waits 3
+    xbar.send(0, 2, "c")          # waits 6
+    xbar.send(1, 2, "d")          # waits 0
+    sim.run()
+    queue = xbar._queue_cycles
+    assert (queue.total, queue.count) == (9, 4)
+    assert (queue.minimum, queue.maximum) == (0, 6)
+
+
 def test_self_send_allowed():
     sim, xbar = make_xbar(link_latency=1)
     a = Sink(sim)

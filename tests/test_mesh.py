@@ -134,12 +134,12 @@ class TestSystemOnMesh:
 
 
 class TestMeshFastpathDeterminism:
-    """The mesh fast path (inline calendar-bucket hops) is invisible.
+    """The fast build is invisible on the mesh too.
 
     Same proof shape as the crossbar's in test_fastpath_determinism:
-    every point run on the compat engine (fastpath=False, every hop
-    through the Event-allocating slow path) must match the fast engine's
-    result fingerprint, event count and cycle count exactly.
+    every point run on the reference build (fastpath=False: generic
+    core and L1 handlers) must match the fast build's result
+    fingerprint, event count and cycle count exactly.
     """
 
     def _points(self):
